@@ -3,14 +3,18 @@
     anomaly verify|symbol|flow-fuyau|flow-torus --config cfg.json [--seed N] [--out DIR]
 
 Exit codes: 0 success, 1 verification failure, 2 flow halt (breakdown),
-3 input error.  Monitor CSVs carry 17 significant digits so regressions
-are diff-able; snapshots use the ANMF binary format; a summary JSON records
-the halt reason and final monitor values.
+3 input error (the config cannot be read or does not define a valid run),
+4 internal error (an unexpected exception while the run executes).  Monitor
+CSVs carry 17 significant digits so regressions are diff-able; snapshots use
+the ANMF binary format; a summary JSON records the halt reason and final
+monitor values.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import sys
@@ -27,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_FLOW_HALT = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _fmt(x: float) -> str:
@@ -34,10 +39,20 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Report a ValueError, TypeError or OSError raised while a config becomes a run
+    (its grid, fields, problem and time control) as bad input, not as an internal error."""
+    try:
+        yield
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_verify(cfg: cfgmod.RunConfig) -> int:
@@ -63,12 +78,13 @@ def run_verify(cfg: cfgmod.RunConfig) -> int:
 
 
 def run_symbol(cfg: cfgmod.RunConfig) -> int:
-    spec = cfg.raw.get("symbol", {})
-    omega = cfgmod.parse_omega_point(spec.get("omega"))
-    r = cfgmod.parse_curvature(spec.get("curvature"), seed=cfg.seed, omega=omega)
-    abs_omega = float(spec.get("abs_omega", 1.0))
-    alphas = [float(a) for a in spec.get("alpha_list", [0.0])]
-    n_dirs = int(spec.get("n_dirs", 16))
+    with _reading_input():
+        spec = cfg.raw.get("symbol", {})
+        omega = cfgmod.parse_omega_point(spec.get("omega"))
+        r = cfgmod.parse_curvature(spec.get("curvature"), seed=cfg.seed, omega=omega)
+        abs_omega = float(spec.get("abs_omega", 1.0))
+        alphas = [float(a) for a in spec.get("alpha_list", [0.0])]
+        n_dirs = int(spec.get("n_dirs", 16))
     xis = sampling.unit_covectors(n_dirs, cfg.seed)
     rows = []
     for alpha in alphas:
@@ -153,19 +169,20 @@ def _snapshot_writer(cfg, grid, kind, label):
 
 
 def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
-    spec = cfg.raw.get("fuyau", {})
-    grid = cfgmod.parse_grid(cfg.raw.get("grid", {"complex_dims": 2, "points_per_dim": 16}))
-    prob = flowmod.FuYauProblem(
-        grid,
-        float(spec.get("alpha_prime", 0.0)),
-        cfgmod.materialize_scalar(grid, spec.get("f"), "f"),
-        cfgmod.materialize_scalar(grid, spec.get("mu"), "mu"),
-    )
-    u0 = None
-    if "u0" in spec:
-        u0 = cfgmod.materialize_scalar(grid, spec["u0"], "u0")
-    ctrl = cfgmod.parse_dt_control(cfg.raw.get("time"))
-    t_final = float(cfg.raw.get("time", {}).get("t_final", 1.0))
+    with _reading_input():
+        spec = cfg.raw.get("fuyau", {})
+        grid = cfgmod.parse_grid(cfg.raw.get("grid", {"complex_dims": 2, "points_per_dim": 16}))
+        prob = flowmod.FuYauProblem(
+            grid,
+            float(spec.get("alpha_prime", 0.0)),
+            cfgmod.materialize_scalar(grid, spec.get("f"), "f"),
+            cfgmod.materialize_scalar(grid, spec.get("mu"), "mu"),
+        )
+        u0 = None
+        if "u0" in spec:
+            u0 = cfgmod.materialize_scalar(grid, spec["u0"], "u0")
+        ctrl = cfgmod.parse_dt_control(cfg.raw.get("time"))
+        t_final = float(cfg.raw.get("time", {}).get("t_final", 1.0))
     hist = flowmod.fu_yau_run(
         prob, t_final, ctrl, u0=u0, on_step=_snapshot_writer(cfg, grid, KIND_SCALAR_REAL, "u")
     )
@@ -173,27 +190,28 @@ def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
 
 
 def run_flow_torus(cfg: cfgmod.RunConfig) -> int:
-    spec = cfg.raw.get("torus", {})
-    grid = cfgmod.parse_grid(cfg.raw.get("grid", {"complex_dims": 1, "points_per_dim": 64}))
-    alpha = float(spec.get("alpha_prime", 0.0))
-    abs_omega = float(spec.get("abs_omega", 1.0))
-    seed = int(spec.get("fixture_seed", cfg.seed))
-    amplitude = float(spec.get("amplitude", 0.05))
-    kmax = int(spec.get("kmax", 3))
-    if spec.get("stationary"):
-        prob = flowmod.make_stationary_torus_problem(
-            grid, abs_omega, alpha, seed, amplitude=amplitude, kmax=kmax
-        )
-    else:
-        omega0 = flowmod.make_balanced_omega0(
-            grid, abs_omega, seed,
-            base_scale=float(spec.get("base_scale", 2.0)),
-            amplitude=amplitude, kmax=kmax,
-        )
-        phi0 = np.zeros(grid.shape + (3, 3), dtype=complex)
-        prob = flowmod.TorusProblem(grid, alpha, abs_omega, phi0, omega0)
-    ctrl = cfgmod.parse_dt_control(cfg.raw.get("time"))
-    t_final = float(cfg.raw.get("time", {}).get("t_final", 1.0))
+    with _reading_input():
+        spec = cfg.raw.get("torus", {})
+        grid = cfgmod.parse_grid(cfg.raw.get("grid", {"complex_dims": 1, "points_per_dim": 64}))
+        alpha = float(spec.get("alpha_prime", 0.0))
+        abs_omega = float(spec.get("abs_omega", 1.0))
+        seed = int(spec.get("fixture_seed", cfg.seed))
+        amplitude = float(spec.get("amplitude", 0.05))
+        kmax = int(spec.get("kmax", 3))
+        if spec.get("stationary"):
+            prob = flowmod.make_stationary_torus_problem(
+                grid, abs_omega, alpha, seed, amplitude=amplitude, kmax=kmax
+            )
+        else:
+            omega0 = flowmod.make_balanced_omega0(
+                grid, abs_omega, seed,
+                base_scale=float(spec.get("base_scale", 2.0)),
+                amplitude=amplitude, kmax=kmax,
+            )
+            phi0 = np.zeros(grid.shape + (3, 3), dtype=complex)
+            prob = flowmod.TorusProblem(grid, alpha, abs_omega, phi0, omega0)
+        ctrl = cfgmod.parse_dt_control(cfg.raw.get("time"))
+        t_final = float(cfg.raw.get("time", {}).get("t_final", 1.0))
     hist = flowmod.torus_run(
         prob, t_final, ctrl, on_step=_snapshot_writer(cfg, grid, KIND_PSI22, "psi")
     )
@@ -219,23 +237,27 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = cfgmod.load_config(args.config)
-        if cfg.command != args.command:
-            raise ConfigError(
-                f"config command {cfg.command!r} does not match CLI command {args.command!r}"
-            )
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        with _reading_input():
+            cfg = cfgmod.load_config(args.config)
+            if cfg.command != args.command:
+                raise ConfigError(
+                    f"config command {cfg.command!r} does not match CLI command {args.command!r}"
+                )
+            if args.seed is not None:
+                cfg.seed = args.seed
+            if args.out is not None:
+                cfg.out_dir = args.out
+            os.makedirs(cfg.out_dir, exist_ok=True)
         return _RUNNERS[cfg.command](cfg)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except AnomalyFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

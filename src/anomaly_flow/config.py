@@ -10,6 +10,7 @@ scalars are written as ``[re, im]`` pairs throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .snapshot import KIND_CURV, KIND_HERM3, read_snapshot
 
 SCHEMA_VERSION = 1
 COMMANDS = ("verify", "symbol", "flow-fuyau", "flow-torus")
+SECTIONS = ("output", "grid", "time", "symbol", "fuyau", "torus")
 
 
 @dataclass
@@ -39,6 +41,11 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    for section in SECTIONS:
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
@@ -156,9 +163,14 @@ def parse_curvature(spec, seed=0, omega=None) -> np.ndarray:
 
 def parse_dt_control(spec) -> DtControl:
     spec = spec or {}
+    dt_fixed = spec.get("dt_fixed")
+    if dt_fixed is not None:
+        dt_fixed = float(dt_fixed)
+        if not (math.isfinite(dt_fixed) and dt_fixed > 0):
+            raise ConfigError(f"dt_fixed must be a positive finite step, got {dt_fixed!r}")
     return DtControl(
         cfl=float(spec.get("cfl", 0.2)),
-        dt_fixed=(float(spec["dt_fixed"]) if spec.get("dt_fixed") else None),
+        dt_fixed=dt_fixed,
         dt_max=float(spec.get("dt_max", np.inf)),
         dt_min=float(spec.get("dt_min", 1e-12)),
         margin_min=float(spec.get("margin_min", 0.0)),

@@ -11,7 +11,8 @@ attributable to time discretization.
 Array layout: a field of T-valued data has shape grid.shape + T.shape with
 the grid axes ordered (x1, y1[, x2, y2]).  Herm3 fields store omega_{jbar k}
 at [..., j, k]; Psi22 fields store Psi^{j kbar} at [..., j, k]; curvature
-fields store R_{kbar j}^p_q at [..., k, j, p, q].
+fields hold only the c x c active slabs, R_{kbar j}^p_q at [..., k, j, p, q]
+with k, j < c (shape grid.shape + (c, c, 3, 3)).
 """
 
 from __future__ import annotations
@@ -288,20 +289,24 @@ def _iddbar_symbols(grid: PeriodicGrid):
 def i_ddbar_11(grid: PeriodicGrid, omega_field: np.ndarray, fhat=None) -> np.ndarray:
     """i del delbar of a Herm3 field, assembled as a Psi22 field.
 
-    Linear in the input, hence exactly d-closed at the discrete level.  A
-    precomputed full-grid transform may be passed to share work.
+    Linear in the input, hence exactly d-closed at the discrete level.  The
+    gemm table commutes with the transform, so it is applied to the spectrum
+    and one inverse transform assembles the result.  A precomputed
+    full-grid transform may be passed to share work.
     """
     table = _iddbar_gemm_table()
-    syms = _iddbar_symbols(grid)
     if fhat is None:
         fhat = forward(grid, omega_field)
-    npts = int(np.prod(grid.shape))
-    out_flat = None
-    for (l, m), sym in syms.items():
-        d2 = inverse(grid, fhat * sym, overwrite=True)
-        term = d2.reshape(npts, 9) @ table[l, m]
-        out_flat = term if out_flat is None else out_flat + term
-    return out_flat.reshape(grid.shape + (3, 3))
+    flat = fhat.reshape(-1, 9)
+    out_hat = None
+    for (l, m), sym in _iddbar_symbols(grid).items():
+        term = (flat @ table[l, m]).reshape(fhat.shape)
+        term *= sym
+        if out_hat is None:
+            out_hat = term
+        else:
+            out_hat += term
+    return inverse(grid, out_hat, overwrite=True)
 
 
 def chern_curvature(
@@ -309,8 +314,11 @@ def chern_curvature(
 ) -> np.ndarray:
     """Chern curvature R_{kbar j}^p_q = -del_kbar((omega^{-1} del_j omega)^p_q).
 
-    Requires pointwise positivity (checked unless the caller gates it);
-    inactive-direction components are zero.
+    Requires pointwise positivity (checked unless the caller gates it).
+    Only the active slabs are returned: shape grid.shape + (c, c, 3, 3);
+    every component with an inactive k or j is zero.  Each (k, j) slab is
+    contiguous in memory (the result is a view of a (c, c) + grid.shape +
+    (3, 3) array).
     """
     if gate:
         assert_positive_field(omega_field, "metric field")
@@ -321,27 +329,59 @@ def chern_curvature(
     ndim = fhat.ndim
     c = grid.complex_dims
     mask = _bcast(_dealias_mask(grid), ndim, grid)
-    r = np.zeros(grid.shape + (3, 3, 3, 3), dtype=complex)
+    r = np.empty((c, c) + fhat.shape, dtype=complex)
     for j in range(c):
         dm = inverse(grid, fhat * _bcast(dz_syms[j], ndim, grid), overwrite=True)
-        ahat = forward(grid, pinv @ dm, overwrite=True)
+        ahat = forward(grid, np.einsum("...pq,...qs->...ps", pinv, dm), overwrite=True)
         ahat *= mask
         for k in range(c):
-            r[..., k, j, :, :] = -inverse(
-                grid, ahat * _bcast(dzb_syms[k], ndim, grid), overwrite=True
-            )
-    return r
+            # -delbar_k: negating the multiplier negates the transform exactly
+            r[k, j] = inverse(grid, ahat * _bcast(-dzb_syms[k], ndim, grid), overwrite=True)
+    return np.moveaxis(r, (0, 1), (-4, -3))
+
+
+def _wedge_terms(c: int):
+    """Distinct traces in Tr(R ^ R) at c active dims, read from the oracle.
+
+    Each nonzero quad (j, k, l, m) of wedge22_table contributes
+    tr(R_{kbar j} R_{mbar l}) W[j, k, l, m]; quads whose traces are equal by
+    tr(AB) = tr(BA) are merged.  Returns (terms, comps): terms is a list of
+    ((k, j), (m, l), weight) with weight the summed 3x3 table entries, and
+    comps the (a, b) output components that some weight reaches.  Both are
+    empty when the table has no term at c (c = 1).
+    """
+    w = exterior.wedge22_table()[:c, :c, :c, :c]
+    merged: dict[tuple, np.ndarray] = {}
+    for j, k, l, m in zip(*np.nonzero(np.any(w, axis=(-2, -1)))):
+        key = tuple(sorted(((int(k), int(j)), (int(m), int(l)))))
+        merged[key] = merged.get(key, 0) + w[j, k, l, m]
+    terms = [(a, b, wt) for (a, b), wt in merged.items() if np.any(wt)]
+    comps = sorted({ab for _, _, wt in terms for ab in zip(*np.nonzero(wt))})
+    return terms, comps
 
 
 def tr_r_wedge_r(grid: PeriodicGrid, r_field: np.ndarray) -> np.ndarray:
-    """Pointwise Tr(R ^ R) as a Psi22 field (dealiased product)."""
-    c = grid.complex_dims
-    w = exterior.wedge22_table()[:c, :c, :c, :c]
-    ra = r_field[..., :c, :c, :, :]
-    g = np.einsum("...kjps,...mlsp->...jklm", ra, ra, optimize=True)
-    naxes = 2 * grid.complex_dims
-    out = np.tensordot(g, w, axes=([naxes, naxes + 1, naxes + 2, naxes + 3], [0, 1, 2, 3]))
-    return dealias(grid, out)
+    """Pointwise Tr(R ^ R) as a Psi22 field (dealiased product).
+
+    r_field may be compact (grid.shape + (c, c, 3, 3), as chern_curvature
+    returns it) or dense (grid.shape + (3, 3, 3, 3)); only its active slabs
+    are read.  Only the traces and output components that the oracle's
+    wedge table can make nonzero are computed and dealiased.
+    """
+    terms, comps = _wedge_terms(grid.complex_dims)
+    out = np.zeros(grid.shape + (3, 3), dtype=complex)
+    if not terms:
+        return out
+    vals = np.zeros(grid.shape + (len(comps),), dtype=complex)
+    for (k, j), (m, l), wt in terms:
+        tr = np.einsum("...ps,...sp->...", r_field[..., k, j, :, :], r_field[..., m, l, :, :])
+        for i, (a, b) in enumerate(comps):
+            if wt[a, b] != 0:
+                vals[..., i] += wt[a, b] * tr
+    vals = dealias(grid, vals)
+    for i, (a, b) in enumerate(comps):
+        out[..., a, b] = vals[..., i]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ f64 data (re/im interleaved for complex kinds), grid axes ordered
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -80,11 +81,11 @@ def read_snapshot(path):
         grid = PeriodicGrid(cdims, n, period)
         shape = grid.shape + _TENSOR_SHAPE[kind]
         raw = fh.read()
+    if len(raw) != 8 * (2 if _IS_COMPLEX[kind] else 1) * math.prod(shape):
+        raise ConfigError("snapshot data size does not match header")
     if _IS_COMPLEX[kind]:
         flat = np.frombuffer(raw, dtype="<f8").reshape(shape + (2,))
         field = flat[..., 0] + 1j * flat[..., 1]
     else:
         field = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if field.shape != shape:
-        raise ConfigError("snapshot data size does not match header")
     return grid, field, kind

@@ -1,5 +1,6 @@
 """CLI, config parsing, snapshot format, verification front end."""
 
+import csv
 import json
 
 import numpy as np
@@ -24,6 +25,9 @@ def test_load_config_rejects_garbage(tmp_path):
         cfgmod.load_config(str(p))
     with pytest.raises(ConfigError):
         cfgmod.load_config(write_cfg(tmp_path / "cmd.json", {"command": "nope"}))
+    for bad in ([1, 2], {"command": "flow-torus", "time": 5}):
+        with pytest.raises(ConfigError):
+            cfgmod.load_config(write_cfg(tmp_path / "shape.json", bad))
 
 
 def test_materialize_scalar_modes_and_band_limit():
@@ -51,6 +55,17 @@ def test_snapshot_roundtrip_exact(tmp_path):
     _, u2, kind = snap.read_snapshot(path)
     assert kind == snap.KIND_SCALAR_REAL
     np.testing.assert_array_equal(u, u2)
+
+
+def test_snapshot_rejects_truncated_and_padded_data(tmp_path):
+    g = PeriodicGrid(1, 16)
+    path = tmp_path / "t.anmf"
+    snap.write_snapshot(path, g, np.ones(g.shape + (3, 3), dtype=complex), snap.KIND_PSI22)
+    raw = path.read_bytes()
+    for bad in (raw[:-3], raw + b"\0" * 16):  # cut mid-element; trailing bytes
+        path.write_bytes(bad)
+        with pytest.raises(ConfigError, match="data size does not match header"):
+            snap.read_snapshot(path)
 
 
 def test_snapshot_rejects_bad_shape(tmp_path):
@@ -238,12 +253,60 @@ def test_cli_input_error_exit_code(tmp_path):
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT_ERROR
 
 
+def _torus_cfg(tmp_path, **time):
+    return write_cfg(
+        tmp_path / "tc.json",
+        {
+            "command": "flow-torus",
+            "seed": 2,
+            "grid": {"complex_dims": 1, "points_per_dim": 16},
+            "time": {"t_final": 0.01, **time},
+            "output": {"dir": str(tmp_path)},
+            "torus": {"alpha_prime": 0.0, "amplitude": 0.04},
+        },
+    )
+
+
+def test_cli_rejects_nonpositive_dt_fixed(tmp_path):
+    for dt in (0, -0.001):
+        cfg = _torus_cfg(tmp_path, dt_fixed=dt)
+        assert cli.main(["flow-torus", "--config", cfg]) == cli.EXIT_INPUT_ERROR
+    assert not (tmp_path / "monitors.csv").exists()
+    for dt in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            cfgmod.parse_dt_control({"dt_fixed": dt})
+    assert cfgmod.parse_dt_control({"dt_fixed": None}).dt_fixed is None
+
+
+def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a fault raised inside the flow is not bad input
+    def broken(psi, prob):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli.flowmod, "torus_rhs", broken)
+    cfg = _torus_cfg(tmp_path, dt_fixed=0.002)
+    assert cli.main(["flow-torus", "--config", cfg]) == cli.EXIT_INTERNAL_ERROR
+    assert "internal error" in capsys.readouterr().err
+    # a value the config turns into an invalid problem still is
+    bad = json.loads((tmp_path / "tc.json").read_text())
+    bad["torus"]["alpha_prime"] = -1.0
+    assert cli.main(["flow-torus", "--config", write_cfg(tmp_path / "neg.json", bad)]) == (
+        cli.EXIT_INPUT_ERROR
+    )
+
+
 def test_run_verify_all_pass(tmp_path, capsys):
     cfg = cfgmod.RunConfig("verify", 123, str(tmp_path), 0)
     assert cli.run_verify(cfg) == cli.EXIT_OK
     report = (tmp_path / "verify_report.csv").read_text().splitlines()
     assert len(report) == len(verify.ALL_SUITES) + 1
     assert all(",PASS," in line for line in report[1:])
+    # suite names and details holding commas are quoted, so a csv reader sees 6 fields
+    with open(tmp_path / "verify_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(verify.ALL_SUITES) == 19
+    assert all(None not in row and row["status"] == "PASS" for row in rows)
+    assert "(2,2) roundtrip & reality" in [row["identity"] for row in rows]
 
 
 def test_run_verify_detects_mutation(tmp_path, monkeypatch, capsys):

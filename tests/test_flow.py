@@ -174,6 +174,30 @@ def test_torus_rhs_matches_public_composition():
     assert np.abs(got - ref).max() < 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
+def test_torus_rhs_at_c1_takes_no_curvature(monkeypatch):
+    # the oracle table has no Tr(R ^ R) term at c = 1: rhs = i del delbar omega - a' Phi_0
+    calls = []
+    real = gr.chern_curvature
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "chern_curvature", counted)
+    monkeypatch.setattr(fl, "chern_curvature", counted)
+    om0 = fl.make_balanced_omega0(G32T, 1.0, seed=7, amplitude=0.03)
+    rng = np.random.default_rng(3)
+    phi0 = pw.hermitize(gr.i_ddbar_11(G32T, gr.random_bandlimited_herm3(G32T, rng, 2, 0.05)))
+    prob = fl.TorusProblem(G32T, 0.3, 1.0, phi0, om0)
+    psi = prob.psi0
+    ref = gr.i_ddbar_11(G32T, gr.dealias(G32T, pw.adjugate3(psi))) - 0.3 * phi0
+    got = fl.torus_rhs(psi, prob)
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+    stationary = fl.make_stationary_torus_problem(G32T, 1.0, 0.2, seed=7, amplitude=0.03)
+    assert fl.stationarity_report(stationary.psi0, stationary) < 1e-12
+    assert calls == []
+
+
 def test_torus_rhs_is_closed():
     om0 = fl.make_balanced_omega0(G32T, 1.0, seed=6, amplitude=0.03)
     prob = fl.TorusProblem(G32T, 0.15, 1.0, np.zeros(G32T.shape + (3, 3)), om0)
