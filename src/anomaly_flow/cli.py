@@ -119,11 +119,11 @@ def run_symbol(cfg: cfgmod.RunConfig) -> int:
     return EXIT_OK
 
 
-def _flow_outputs(cfg, grid, hist, monitor_names, kind, label):
+def _flow_outputs(cfg, grid, hist, kind, label):
     mon_path = os.path.join(cfg.out_dir, "monitors.csv")
-    header = ["step", "t", "dt"] + list(monitor_names)
+    header = ["step", "t", "dt"] + list(hist.monitor_names)
     rows = [
-        [str(s), _fmt(t), _fmt(dt)] + [_fmt(hist.monitors[m][i]) for m in monitor_names]
+        [str(s), _fmt(t), _fmt(dt)] + [_fmt(hist.monitors[m][i]) for m in hist.monitor_names]
         for i, (s, t, dt) in enumerate(zip(hist.steps, hist.times, hist.dts))
     ]
     _write_csv(mon_path, header, rows)
@@ -137,8 +137,7 @@ def _flow_outputs(cfg, grid, hist, monitor_names, kind, label):
             "step": hist.halt.step,
             "t": hist.halt.t,
         },
-        "final_monitors": {m: (hist.monitors[m][-1] if hist.monitors[m] else None)
-                           for m in monitor_names},
+        "final_monitors": {m: (vals[-1] if vals else None) for m, vals in hist.monitors.items()},
         "monitor_csv": mon_path,
         "final_snapshot": final_snap,
     }
@@ -186,7 +185,7 @@ def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
     hist = flowmod.fu_yau_run(
         prob, t_final, ctrl, u0=u0, on_step=_snapshot_writer(cfg, grid, KIND_SCALAR_REAL, "u")
     )
-    return _flow_outputs(cfg, grid, hist, flowmod.FUYAU_MONITORS, KIND_SCALAR_REAL, "u")
+    return _flow_outputs(cfg, grid, hist, KIND_SCALAR_REAL, "u")
 
 
 def run_flow_torus(cfg: cfgmod.RunConfig) -> int:
@@ -215,7 +214,7 @@ def run_flow_torus(cfg: cfgmod.RunConfig) -> int:
     hist = flowmod.torus_run(
         prob, t_final, ctrl, on_step=_snapshot_writer(cfg, grid, KIND_PSI22, "psi")
     )
-    return _flow_outputs(cfg, grid, hist, flowmod.TORUS_MONITORS, KIND_PSI22, "psi")
+    return _flow_outputs(cfg, grid, hist, KIND_PSI22, "psi")
 
 
 _RUNNERS = {

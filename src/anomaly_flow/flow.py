@@ -12,6 +12,9 @@ coefficient):
   from u = 0, where Lap = 2 sum_j del_j del_jbar and sigma2 is the
   determinant of the complex Hessian.
 
+One driver, _integrate, runs both: each flow supplies its gate, rhs and
+monitors, and the driver adds the four stages into one increment in place.
+
 The scalar flow is real-valued end to end.  Its spectral derivatives act
 along one axis at a time as dense matrices (grid.diff_matrix), and the
 two-thirds rule is a forward transform that computes only the kept band
@@ -221,16 +224,58 @@ def parabolicity_margin(u: np.ndarray, prob: FuYauProblem) -> float:
     return float(lo.min())
 
 
-def _rk4(rhs, y, dt):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
-
-
 FUYAU_MONITORS = ("conservation_gap", "parabolicity_margin", "rhs_norm")
 TORUS_MONITORS = ("balanced_residual", "min_eig_omega", "rhs_norm")
+
+
+def _integrate(grid, y, t_final, ctrl, names, gate, rhs, monitors,
+               to_state=lambda k: k, finish=lambda y: y, on_step=None) -> FlowHistory:
+    """The time-stepping loop: gate, CFL dt, RK4 step, finiteness, monitors.
+
+    gate(y) gives a halt reason or (largest diffusion coefficient, pre-step
+    monitors, data that rhs(y, data) reuses at the first stage).  rhs is the
+    rate in the flow's own representation, which to_state maps to the state
+    space.  finish post-processes each accepted state, and monitors(y, t, k1)
+    gives the post-step monitors.
+    """
+    hist = FlowHistory(names)
+    h2 = grid.spacing**2
+    t, step = 0.0, 0
+    while t < t_final * (1.0 - 1e-14):
+        gated = gate(y)
+        if isinstance(gated, str):
+            hist.halt = HaltInfo(gated, step, t, y.copy())
+            break
+        dmax, pre, data = gated
+        dt = ctrl.cfl * h2 / dmax if ctrl.dt_fixed is None else ctrl.dt_fixed
+        dt = min(dt, ctrl.dt_max, t_final - t)
+        if dt < ctrl.dt_min:
+            hist.halt = HaltInfo("instability", step, t, y.copy())
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = k = rhs(y, data)
+            incr = (dt / 6.0) * k1
+            for c, w in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
+                y_s = to_state((c * dt) * k)
+                y_s += y
+                k = rhs(y_s)
+                incr += (w * dt) * k
+            del y_s, k  # free before the update is built: the step's peak memory
+            y_new = to_state(incr)
+            y_new += y
+        if not np.all(np.isfinite(y_new)):
+            hist.halt = HaltInfo("instability", step, t, y.copy())
+            break
+        y = finish(y_new)
+        t += dt
+        step += 1
+        row = {**pre, **monitors(y, t, k1)}
+        hist.record(step, t, dt, row)
+        if on_step is not None:
+            on_step(step, t, dt, y, row)
+    hist.final_t = t
+    hist.final_payload = y
+    return hist
 
 
 def fu_yau_run(
@@ -245,61 +290,38 @@ def fu_yau_run(
     Monitors per step: conservation gap <e^u>(t) - <e^u>(0) - t <mu>, the
     parabolicity margin of the pre-step state, and the rhs norm.  Halts on
     margin <= margin_min, on a collapsed time step, or on non-finite values.
+    The rate is kept as band coefficients: u + band_inverse(c*dt*khat) is
+    exactly u + c*dt*k for the dealiased rhs k.
     """
     ctrl = ctrl or DtControl()
     g = prob.grid
     u = np.zeros(g.shape) if u0 is None else np.array(u0, dtype=float)
-    hist = FlowHistory(FUYAU_MONITORS)
-    eu = np.exp(u)
+    eu = np.exp(u)  # of the current state: set by the monitors, read by the gate
     e0 = float(grid_mean(g, eu))
     mu_mean = float(grid_mean(g, prob.mu))
-    h2 = g.spacing**2
-    t, step = 0.0, 0
-    while t < t_final * (1.0 - 1e-14):
-        eu, emu, hess = _fields(prob, u, eu)
-        lo, hi = _margin_bounds(prob, eu, emu, hess)
+
+    def gate(u):
+        fields = _fields(prob, u, eu)
+        lo, hi = _margin_bounds(prob, *fields)
         margin = float(lo.min())
         if margin <= ctrl.margin_min:
-            hist.halt = HaltInfo("parabolicity", step, t, u.copy())
-            break
-        dt = ctrl.dt_fixed
-        if dt is None:
-            dt = ctrl.cfl * h2 / float((emu * hi).max())
-        dt = min(dt, ctrl.dt_max, t_final - t)
-        if dt < ctrl.dt_min:
-            hist.halt = HaltInfo("instability", step, t, u.copy())
-            break
-        # RK4 with band-limited stage increments: u + band_inverse(c*dt*khat)
-        # is exactly u + c*dt*k for the dealiased rhs k
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = khat = _rhs_band(prob, eu, emu, hess)
-            incr = (dt / 6.0) * k1
-            for c, w in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
-                u_s = band_inverse(g, (c * dt) * khat)
-                u_s += u
-                khat = _rhs_band(prob, *_fields(prob, u_s))
-                incr += (w * dt) * khat
-            u_new = band_inverse(g, incr)
-            u_new += u
-        if not np.all(np.isfinite(u_new)):
-            hist.halt = HaltInfo("instability", step, t, u.copy())
-            break
-        u = u_new
-        t += dt
-        step += 1
+            return "parabolicity"
+        dmax = float((fields[1] * hi).max())  # e^{-u} times the largest eigenvalue
+        return dmax, {"parabolicity_margin": margin}, fields
+
+    def rhs(u, fields=None):
+        return _rhs_band(prob, *(_fields(prob, u) if fields is None else fields))
+
+    def monitors(u, t, k1):
+        nonlocal eu
         eu = np.exp(u)
-        gap = float(grid_mean(g, eu)) - e0 - t * mu_mean
-        row = {
-            "conservation_gap": gap,
-            "parabolicity_margin": margin,
+        return {
+            "conservation_gap": float(grid_mean(g, eu)) - e0 - t * mu_mean,
             "rhs_norm": l2_norm(g, band_inverse(g, k1)),
         }
-        hist.record(step, t, dt, row)
-        if on_step is not None:
-            on_step(step, t, dt, u, row)
-    hist.final_t = t
-    hist.final_payload = u
-    return hist
+
+    return _integrate(g, u, t_final, ctrl, FUYAU_MONITORS, gate, rhs, monitors,
+                      to_state=lambda khat: band_inverse(g, khat), on_step=on_step)
 
 
 @dataclass
@@ -385,45 +407,21 @@ def torus_run(
     on_step=None,
 ) -> FlowHistory:
     """Evolve the (2,2)-form field; halts on positivity loss or instability."""
-    ctrl = ctrl or DtControl()
     g = prob.grid
-    psi = prob.psi0.copy()
-    hist = FlowHistory(TORUS_MONITORS)
-    h2 = g.spacing**2
-    t, step = 0.0, 0
-    while t < t_final * (1.0 - 1e-14):
+
+    def gate(psi):
         try:
             dmax, min_eig = _torus_gate(psi, prob)
         except PositivityError:
-            hist.halt = HaltInfo("positivity", step, t, psi.copy())
-            break
-        dt = ctrl.cfl * h2 / dmax if ctrl.dt_fixed is None else ctrl.dt_fixed
-        dt = min(dt, ctrl.dt_max, t_final - t)
-        if dt < ctrl.dt_min:
-            hist.halt = HaltInfo("instability", step, t, psi.copy())
-            break
-        try:
-            psi_new, k1 = _rk4(lambda p: torus_rhs(p, prob), psi, dt)
-        except PositivityError:
-            hist.halt = HaltInfo("positivity", step, t, psi.copy())
-            break
-        if not np.all(np.isfinite(psi_new)):
-            hist.halt = HaltInfo("instability", step, t, psi.copy())
-            break
-        psi = hermitize(psi_new)
-        t += dt
-        step += 1
-        row = {
-            "balanced_residual": d_residual_22(g, psi),
-            "min_eig_omega": min_eig,
-            "rhs_norm": l2_norm(g, k1),
-        }
-        hist.record(step, t, dt, row)
-        if on_step is not None:
-            on_step(step, t, dt, psi, row)
-    hist.final_t = t
-    hist.final_payload = psi
-    return hist
+            return "positivity"
+        return dmax, {"min_eig_omega": min_eig}, None
+
+    def monitors(psi, t, k1):
+        return {"balanced_residual": d_residual_22(g, psi), "rhs_norm": l2_norm(g, k1)}
+
+    return _integrate(g, prob.psi0.copy(), t_final, ctrl or DtControl(), TORUS_MONITORS, gate,
+                      lambda psi, _=None: torus_rhs(psi, prob), monitors,
+                      finish=hermitize, on_step=on_step)
 
 
 def stationarity_report(psi_field: np.ndarray, prob: TorusProblem) -> float:

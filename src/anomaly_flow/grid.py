@@ -250,10 +250,6 @@ def l2_norm(grid: PeriodicGrid, field: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(np.abs(field) ** 2, axis=comp_axes))))
 
 
-def min_eig_herm3(field: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(field)[..., 0].min())
-
-
 def assert_positive_field(field: np.ndarray, name="field"):
     eigs = np.linalg.eigvalsh(field)
     tr = np.real(np.trace(field, axis1=-2, axis2=-1))

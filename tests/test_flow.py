@@ -6,6 +6,7 @@ import pytest
 from anomaly_flow import flow as fl
 from anomaly_flow import grid as gr
 from anomaly_flow import pointwise as pw
+from anomaly_flow.errors import PositivityError
 
 G16 = gr.PeriodicGrid(2, 16)
 G32T = gr.PeriodicGrid(1, 32)
@@ -254,15 +255,52 @@ def test_torus_stationarity_report_decreases_on_converging_run():
 
 
 def test_torus_positivity_halt():
-    # an aggressively non-positive direction forces a positivity halt:
-    # shrink Psi towards a degenerate matrix by flowing a doctored problem
+    # a huge fixed dt destabilizes RK4 and drives Psi out of the positive cone
     om0 = fl.make_balanced_omega0(G32T, 1.0, seed=10, amplitude=0.02)
     phi0 = np.zeros(G32T.shape + (3, 3), dtype=complex)
     prob = fl.TorusProblem(G32T, 0.0, 1.0, phi0, om0)
-    # huge fixed dt destabilizes RK4 -> non-finite or positivity halt
     hist = fl.torus_run(prob, 50.0, fl.DtControl(dt_fixed=1.0))
-    assert hist.halt is not None
-    assert hist.halt.reason in ("positivity", "instability")
+    assert hist.halt is not None and hist.halt.reason == "positivity"
+    assert hist.halt.step == 4 and len(hist.steps) == 4
+    # halt correctness: the snapshot reproduces the halt condition
+    with pytest.raises(PositivityError):
+        fl._torus_gate(hist.halt.snapshot, prob)
+
+
+def _fu_yau_case():
+    g = gr.PeriodicGrid(2, 8)
+    u0 = 1e-2 * np.cos(g.coords()[0]) * np.ones(g.shape)
+    prob = fl.FuYauProblem(g, 0.05, zeros(g), 0.3 * np.ones(g.shape))
+    return (lambda ctrl, on_step=None: fl.fu_yau_run(prob, 0.5, ctrl, u0=u0, on_step=on_step)), u0
+
+
+def _torus_case():
+    om0 = fl.make_balanced_omega0(G32T, 1.0, seed=3, amplitude=0.03)
+    prob = fl.TorusProblem(G32T, 0.1, 1.0, np.zeros(G32T.shape + (3, 3)), om0)
+    return (lambda ctrl, on_step=None: fl.torus_run(prob, 0.05, ctrl, on_step=on_step)), prob.psi0
+
+
+@pytest.mark.parametrize("case", [_fu_yau_case, _torus_case], ids=["fu_yau", "torus"])
+def test_driver_contract(case):
+    run, y0 = case()
+    calls = []
+    hist = run(fl.DtControl(), lambda *args: calls.append((args[:3], args[3].copy(), args[4])))
+    assert hist.halt is None and len(hist.steps) > 1
+    # on_step is called once per recorded step, with that step's row
+    assert len(calls) == len(hist.steps)
+    for i, ((step, t, dt), y, row) in enumerate(calls):
+        assert (step, t, dt) == (hist.steps[i], hist.times[i], hist.dts[i])
+        assert row == {name: hist.monitors[name][i] for name in hist.monitor_names}
+    np.testing.assert_array_equal(calls[-1][1], hist.final_payload)
+    # a dt_min above the CFL step halts before the first step, with the start state
+    calls.clear()
+    halted = run(fl.DtControl(dt_min=2.0 * hist.dts[0]), lambda *args: calls.append(args))
+    assert halted.halt is not None and halted.halt.reason == "instability"
+    assert halted.halt.step == 0 and halted.halt.t == 0.0
+    assert not halted.steps and not calls
+    assert all(not vals for vals in halted.monitors.values())
+    np.testing.assert_array_equal(halted.halt.snapshot, y0)
+    np.testing.assert_array_equal(halted.final_payload, y0)
 
 
 def test_stationarity_zero_iff_rhs_zero():

@@ -278,7 +278,7 @@ def test_dealias_idempotent_and_band_limit():
 def test_l2_norm_and_min_eig():
     f = const_herm3(G1, np.diag([1.0, 2.0, 3.0]))
     assert gr.l2_norm(G1, f) == pytest.approx(np.sqrt(14.0))
-    assert gr.min_eig_herm3(f) == pytest.approx(1.0)
+    assert pw.herm3_min_eig(f).min() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("grid", [G1, G2])
