@@ -83,19 +83,13 @@ def run_symbol(cfg: cfgmod.RunConfig) -> int:
         omega = cfgmod.parse_omega_point(spec.get("omega"))
         r = cfgmod.parse_curvature(spec.get("curvature"), seed=cfg.seed, omega=omega)
         abs_omega = float(spec.get("abs_omega", 1.0))
+        if not 0 < abs_omega < np.inf:
+            raise ConfigError(f"abs_omega must be positive and finite, got {abs_omega!r}")
         alphas = [float(a) for a in spec.get("alpha_list", [0.0])]
-        n_dirs = int(spec.get("n_dirs", 16))
-    xis = sampling.unit_covectors(n_dirs, cfg.seed)
+        xis = sampling.unit_covectors(int(spec.get("n_dirs", 16)), cfg.seed)
     rows = []
     for alpha in alphas:
-        worst = None
-        margin = np.inf
-        for xi in xis:
-            rep = linearize.restricted_symbol(xi, omega, abs_omega, r, alpha)
-            if worst is None or rep.min_real_part < worst.min_real_part:
-                worst = rep
-            norm = linearize.proposition_norm(xi, omega, abs_omega, r, alpha)
-            margin = min(margin, linearize.xi_norm_sq(xi, omega) - norm)
+        worst, margin = linearize.ellipticity_check(omega, abs_omega, r, alpha, xis)
         rows.append(
             [
                 _fmt(alpha),

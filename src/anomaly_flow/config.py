@@ -21,7 +21,6 @@ from .flow import DtControl
 from .grid import TWO_PI, PeriodicGrid
 from .snapshot import KIND_CURV, KIND_HERM3, read_snapshot
 
-SCHEMA_VERSION = 1
 COMMANDS = ("verify", "symbol", "flow-fuyau", "flow-torus")
 SECTIONS = ("output", "grid", "time", "symbol", "fuyau", "torus")
 
@@ -112,23 +111,35 @@ def parse_matrix(spec, shape, name="matrix") -> np.ndarray:
     return arr
 
 
+def _snapshot_point(spec, kind, name, kind_name) -> np.ndarray:
+    """The value of a snapshot field at the grid index spec["at"] (default: the origin)."""
+    grid, fieldv, got = read_snapshot(spec["snapshot"])
+    if got != kind:
+        raise ConfigError(f"{name} snapshot must hold {kind_name} field")
+    naxes, n = 2 * grid.complex_dims, grid.points_per_dim
+    at = [int(i) for i in spec.get("at", [0] * naxes)]
+    if len(at) != naxes or not all(0 <= i < n for i in at):
+        raise ConfigError(f"{name} snapshot: at needs {naxes} indices in [0, {n}), got {at}")
+    return np.asarray(fieldv[tuple(at)], dtype=complex)
+
+
 def parse_omega_point(spec, default_scale=1.0) -> np.ndarray:
     if spec is None:
         return default_scale * np.eye(3, dtype=complex)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"omega spec must be an object, got {spec!r}")
     if "identity" in spec:
         return float(spec["identity"]) * np.eye(3, dtype=complex)
     if "inline" in spec:
         return parse_matrix(spec["inline"], (3, 3), "omega")
     if "snapshot" in spec:
-        grid, fieldv, kind = read_snapshot(spec["snapshot"])
-        if kind != KIND_HERM3:
-            raise ConfigError("omega snapshot must hold a Herm3 field")
-        at = tuple(int(i) for i in spec.get("at", (0,) * 2 * grid.complex_dims))
-        return np.asarray(fieldv[at], dtype=complex)
+        return _snapshot_point(spec, KIND_HERM3, "omega", "a Herm3")
     raise ConfigError("omega spec needs identity, inline or snapshot")
 
 
 def parse_curvature(spec, seed=0, omega=None) -> np.ndarray:
+    if not isinstance(spec, (dict, type(None))):
+        raise ConfigError(f"curvature spec must be an object, got {spec!r}")
     if spec is None or spec.get("zero"):
         return np.zeros((3, 3, 3, 3), dtype=complex)
     if "adversarial" in spec:
@@ -153,11 +164,7 @@ def parse_curvature(spec, seed=0, omega=None) -> np.ndarray:
             raise ConfigError(f"R: expected shape (3,3,3,3), got {arr.shape}")
         return arr
     if "snapshot" in spec:
-        grid, fieldv, kind = read_snapshot(spec["snapshot"])
-        if kind != KIND_CURV:
-            raise ConfigError("curvature snapshot must hold a curvature field")
-        at = tuple(int(i) for i in spec.get("at", (0,) * 2 * grid.complex_dims))
-        return np.asarray(fieldv[at], dtype=complex)
+        return _snapshot_point(spec, KIND_CURV, "curvature", "a curvature")
     raise ConfigError("curvature spec needs zero, adversarial, random, inline or snapshot")
 
 

@@ -25,9 +25,5 @@ class FormDegreeError(AnomalyFlowError):
     """A multivector does not have the required bidegree."""
 
 
-class InactiveAxisError(AnomalyFlowError):
-    """A derivative was requested along an inactive complex coordinate."""
-
-
 class ConfigError(AnomalyFlowError):
     """Malformed or inconsistent run configuration."""

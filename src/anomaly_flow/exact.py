@@ -109,16 +109,9 @@ class GaussianRational:
         return f"GR({self.re}, {self.im})"
 
 
-IM = GaussianRational(0, 1)
-
-
 def gr(re=0, im=0) -> GaussianRational:
     """Shorthand constructor, accepts ints, Fractions and '1/3' strings."""
     return GaussianRational(Fraction(re), Fraction(im))
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, (GaussianRational, int, Fraction))
 
 
 def to_exact(x) -> GaussianRational:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import GaussianRational, is_exact, to_exact
+from .exact import GaussianRational, to_exact
 from .errors import FormDegreeError
 
 N = 3
@@ -161,13 +161,6 @@ class MultiVector:
         mv._terms = out
         return mv
 
-    def bidegree_part(self, p: int, q: int) -> "MultiVector":
-        mv = MultiVector()
-        mv._terms = {
-            k: c for k, c in self._terms.items() if _key_bidegree(k) == (p, q)
-        }
-        return mv
-
     def __eq__(self, other):
         if not isinstance(other, MultiVector):
             return NotImplemented
@@ -186,9 +179,6 @@ class MultiVector:
             worst = max(worst, abs(d))
         return worst
 
-    def norm(self) -> float:
-        return sum(abs(complex(c)) ** 2 for c in self._terms.values()) ** 0.5
-
     def __repr__(self):
         if not self._terms:
             return "MultiVector(0)"
@@ -197,10 +187,6 @@ class MultiVector:
             for k, c in sorted(self._terms.items())
         ]
         return "MultiVector(" + " + ".join(parts) + ")"
-
-
-def zero() -> MultiVector:
-    return MultiVector()
 
 
 def scalar(c) -> MultiVector:
@@ -296,8 +282,6 @@ def _form22_basis():
 
 
 _FORM22_BASIS = _form22_basis()
-# inverse lookup: canonical (2,2) key -> (a, b)
-_FORM22_KEY_TO_AB = {key: ab for ab, (key, _) in _FORM22_BASIS.items()}
 
 
 def form22_basis():

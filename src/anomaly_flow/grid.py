@@ -26,7 +26,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import exterior
-from .errors import InactiveAxisError, PositivityError
+from .errors import PositivityError
 from .pointwise import adjugate3, det3
 
 TWO_PI = 2.0 * np.pi
@@ -216,19 +216,6 @@ def band_inverse(grid: PeriodicGrid, chat: np.ndarray) -> np.ndarray:
     for ax in range(chat.ndim - 2, -1, -1):
         y = along_axis(inv, y, ax)
     return along_axis(rinv, np.ascontiguousarray(y).view(np.float64), chat.ndim - 1)
-
-
-def diff(grid: PeriodicGrid, f: np.ndarray, j: int, conjugate: bool = False) -> np.ndarray:
-    """Spectral del_j (or del_jbar with conjugate=True), 1-based active j."""
-    if not 1 <= j <= grid.complex_dims:
-        raise InactiveAxisError(
-            f"coordinate {j} is inactive on a grid with {grid.complex_dims} active dims"
-        )
-    dz_syms, dzb_syms = _symbols(grid)
-    sym = dzb_syms[j - 1] if conjugate else dz_syms[j - 1]
-    axes = (2 * (j - 1), 2 * (j - 1) + 1)
-    fhat = sfft.fftn(f, axes=axes, workers=_workers(f.nbytes))
-    return sfft.ifftn(fhat * _bcast(sym, f.ndim, grid), axes=axes, workers=_workers(f.nbytes))
 
 
 def dealias(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
@@ -440,24 +427,6 @@ def d_residual_22(grid: PeriodicGrid, psi_field: np.ndarray) -> float:
     if den == 0.0:
         return 0.0
     return float(num / den)
-
-
-def random_bandlimited_scalar(
-    grid: PeriodicGrid, rng, kmax: int, amplitude: float = 1.0, n_modes: int = 4
-) -> np.ndarray:
-    """Real band-limited field: a sum of random cosine modes with |k| <= kmax."""
-    kmax = min(kmax, grid.dealias_kmax)
-    xs = grid.coords()
-    out = np.zeros(grid.shape)
-    for _ in range(n_modes):
-        k = rng.integers(-kmax, kmax + 1, size=len(xs))
-        if not np.any(k):
-            k[0] = 1
-        phase = rng.uniform(0, TWO_PI)
-        arg = sum(TWO_PI / grid.period * ki * x for ki, x in zip(k, xs))
-        out = out + np.cos(arg + phase)
-    out *= amplitude / max(n_modes, 1)
-    return out
 
 
 def random_bandlimited_herm3(

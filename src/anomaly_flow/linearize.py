@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exterior
-from .errors import DegenerateInputError, PositivityError, ProjectionResidualError
+from .errors import DegenerateInputError, ProjectionResidualError
 from .pointwise import (
     assert_positive,
     hodge_star22,
@@ -28,7 +28,6 @@ from .pointwise import (
     norm_omega,
     tilde_star,
 )
-from .sampling import unit_covectors
 
 KERNEL_TOL = 1e-10
 
@@ -157,16 +156,24 @@ def restricted_symbol(xi, omega, abs_omega, r, alpha_p, kernel_tol=KERNEL_TOL) -
     )
 
 
-def ellipticity_check(omega, abs_omega, r, alpha_p, n_dirs: int, seed: int) -> SymbolReport:
-    """Worst-case restricted symbol over seeded unit covector directions."""
-    if n_dirs < 1:
-        raise DegenerateInputError("n_dirs must be >= 1")
+def ellipticity_check(omega, abs_omega, r, alpha_p, xis) -> tuple[SymbolReport, float]:
+    """Sweep the covector directions `xis` at one coupling.
+
+    Returns the restricted-symbol report with the smallest real part and the
+    smallest xi_norm_sq - proposition_norm over the sweep (a positive margin
+    certifies ellipticity by the curvature bound).
+    """
+    if len(xis) == 0:
+        raise DegenerateInputError("the sweep needs at least one covector direction")
     worst = None
-    for xi in unit_covectors(n_dirs, seed):
+    margin = np.inf
+    for xi in xis:
         rep = restricted_symbol(xi, omega, abs_omega, r, alpha_p)
         if worst is None or rep.min_real_part < worst.min_real_part:
             worst = rep
-    return worst
+        norm = proposition_norm(xi, omega, abs_omega, r, alpha_p)
+        margin = min(margin, xi_norm_sq(xi, omega) - norm)
+    return worst, margin
 
 
 def proposition_norm(xi, omega, abs_omega, r, alpha_p) -> float:

@@ -1,11 +1,10 @@
 """Pointwise Hermitian algebra on a 3-fold.
 
 Square roots of positive (2,2)-forms, the correspondence between a metric
-``omega`` and ``Psi = ||Omega||_omega omega^2``, the Hodge star on (2,2)-forms,
-the modified star operator, and the Lambda contraction.  All matrices follow
-the convention of :mod:`anomaly_flow.exterior`: a (1,1)-form is ``M[j, k] =
-omega_{jbar k}`` (row index barred), a (2,2)-form is ``Q[a, b] =
-Psi^{a bbar}``.
+``omega`` and ``Psi = ||Omega||_omega omega^2``, the Hodge star on (2,2)-forms
+and the modified star operator.  All matrices follow the convention of
+:mod:`anomaly_flow.exterior`: a (1,1)-form is ``M[j, k] = omega_{jbar k}``
+(row index barred), a (2,2)-form is ``Q[a, b] = Psi^{a bbar}``.
 
 Every function accepts stacked inputs of shape ``(..., 3, 3)`` and broadcasts
 over the leading axes; validation reports the worst offending slice.
@@ -222,9 +221,3 @@ def variation_consistency(omega, abs_omega, dpsi, h):
     diff = fd - tilde_star(dpsi, omega, abs_omega)
     return float(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1))).max())
 
-
-def lambda_contract(f, omega):
-    """(Lambda F)^a_b = omega^{j kbar} F_{kbar j}^a_b for F of shape (3, 3, r, r)."""
-    assert_positive(omega, "omega")
-    p = inv3(omega)
-    return np.einsum("jk,kjab->ab", p, f)

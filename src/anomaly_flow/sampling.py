@@ -10,14 +10,19 @@ transported to the frame of an arbitrary positive metric.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
+from .errors import DegenerateInputError
 from .pointwise import hermitize
 
 
 def unit_covectors(n_dirs: int, seed: int) -> np.ndarray:
     """(n_dirs, 3) complex unit (1,0)-covectors, low-discrepancy, seeded."""
+    # imported here: scipy.stats costs most of the package's import time
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    if n_dirs < 1:
+        raise DegenerateInputError(f"n_dirs must be >= 1, got {n_dirs}")
     sob = qmc.Sobol(d=6, scramble=True, seed=seed)
     m = max(1, int(np.ceil(np.log2(n_dirs))))
     u = sob.random_base2(m)[:n_dirs]
@@ -65,14 +70,6 @@ def random_curvature_for_metric(rng, omega: np.ndarray, scale: float = 1.0) -> n
     """Reality-respecting curvature expressed in the coordinate frame of omega."""
     s = orthonormal_frame(omega)
     return transport_curvature(random_curvature(rng, scale), s)
-
-
-def curvature_reality_residual(r: np.ndarray, omega: np.ndarray) -> float:
-    """Max deviation from conj(R_{kbar j}^p_q) = R_{jbar k}^q_p after orthonormalization."""
-    s = orthonormal_frame(omega)
-    r_on = transport_curvature(r, np.linalg.inv(s))
-    scale = max(np.abs(r_on).max(), 1e-300)
-    return float(np.abs(r_on - _swap_conj(r_on)).max() / scale)
 
 
 def trace_curvature(strength: float) -> np.ndarray:

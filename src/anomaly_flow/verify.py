@@ -26,10 +26,6 @@ class SuiteResult:
     detail: str = ""
 
 
-def _mv_omega(m):
-    return exterior.from_form11(m)
-
-
 def _xi_mv(xi):
     return exterior.MultiVector({(j,): xi[j] for j in range(3)})
 
@@ -84,7 +80,7 @@ def suite_wedge_square_float(seed, trials=100):
     worst = 0.0
     for _ in range(trials):
         w = sampling.random_positive(rng)
-        mv = _mv_omega(w)
+        mv = exterior.from_form11(w)
         q = exterior.to_form22(mv.wedge(mv))
         adj = pointwise.adjugate3(w)
         worst = max(worst, np.abs(q - adj).max() / np.abs(adj).max())
@@ -96,7 +92,7 @@ def suite_top_determinant(seed, trials=100):
     worst = 0.0
     for _ in range(trials):
         w = sampling.random_positive(rng)
-        mv = _mv_omega(w)
+        mv = exterior.from_form11(w)
         top = exterior.top_coefficient(exterior.wedge(mv, mv, mv))
         det = pointwise.det3(w)
         worst = max(worst, abs(top - 6.0 * det) / abs(6.0 * det))
@@ -128,7 +124,7 @@ def suite_root_roundtrip(seed, trials=1000):
     for _ in range(trials):
         psi = sampling.random_positive(rng)
         w = pointwise.root22(psi)
-        mv = _mv_omega(w)
+        mv = exterior.from_form11(w)
         q = exterior.to_form22(mv.wedge(mv))
         worst = max(worst, np.abs(q - psi).max() / np.abs(psi).max())
         if pointwise.hermitian_residual(w) > 1e-12 or pointwise.herm3_min_eig(w) <= 0:
@@ -173,8 +169,8 @@ def suite_star_defining_identity(seed, trials=100):
         psi = sampling.random_hermitian(rng)
         phi = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         star = pointwise.hodge_star22(psi, wt)
-        lhs = exterior.top_coefficient(_mv_omega(phi).wedge(exterior.from_form22(psi)))
-        w3 = exterior.top_coefficient(exterior.wedge(*[_mv_omega(wt)] * 3))
+        lhs = exterior.top_coefficient(exterior.from_form11(phi).wedge(exterior.from_form22(psi)))
+        w3 = exterior.top_coefficient(exterior.wedge(*[exterior.from_form11(wt)] * 3))
         rhs = pointwise.inner11(phi, star, wt) / 6.0 * w3
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     return SuiteResult("star defining identity (oracle)", trials, worst, 1e-12, worst < 1e-12)
@@ -267,7 +263,7 @@ def suite_kernel_identity(seed, trials=200):
         dpsi = sum(c * b for c, b in zip(coeff, basis))
         ts = pointwise.tilde_star(dpsi, w, ab)
         lhs = exterior.to_form22(
-            exterior.wedge(1j * _xi_mv(xi), _xibar_mv(xi), _mv_omega(ts))
+            exterior.wedge(1j * _xi_mv(xi), _xibar_mv(xi), exterior.from_form11(ts))
         )
         lam = linearize.xi_norm_sq(xi, w) / (2.0 * pointwise.norm_omega(w, ab))
         scale = max(np.abs(lam * dpsi).max(), 1e-300)

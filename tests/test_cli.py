@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from anomaly_flow import cli, pointwise, verify
+import anomaly_flow
+from anomaly_flow import cli, linearize, pointwise, sampling, verify
 from anomaly_flow import config as cfgmod
 from anomaly_flow import snapshot as snap
 from anomaly_flow.errors import ConfigError
@@ -156,6 +160,94 @@ def test_cli_symbol_adversarial_flip(tmp_path):
     rows = (tmp_path / "symbol_report.csv").read_text().strip().splitlines()[1:]
     assert rows[0].split(",")[2] == "true"
     assert rows[1].split(",")[2] == "false"
+
+
+def _symbol_cfg(tmp_path, **symbol):
+    spec = {"omega": {"identity": 1.0}, "curvature": {"zero": True}, "n_dirs": 4, **symbol}
+    return write_cfg(
+        tmp_path / "sym.json",
+        {"command": "symbol", "seed": 3, "output": {"dir": str(tmp_path)}, "symbol": spec},
+    )
+
+
+@pytest.mark.parametrize(
+    "symbol, field",
+    [
+        ({"n_dirs": 0}, "n_dirs"),
+        ({"n_dirs": -3}, "n_dirs"),
+        ({"abs_omega": 0}, "abs_omega"),
+        ({"abs_omega": -1}, "abs_omega"),
+        ({"abs_omega": float("inf")}, "abs_omega"),
+        ({"omega": {"snapshot": "herm3.anmf", "at": [0, 9]}}, "omega snapshot"),
+        ({"omega": {"snapshot": "herm3.anmf", "at": [0]}}, "omega snapshot"),
+        ({"curvature": {"snapshot": "curv.anmf", "at": [-1, 0]}}, "curvature snapshot"),
+        ({"curvature": 5}, "curvature spec"),
+        ({"omega": 5}, "omega spec"),
+    ],
+)
+def test_cli_symbol_rejects_bad_input(tmp_path, monkeypatch, capsys, symbol, field):
+    monkeypatch.chdir(tmp_path)  # the snapshot paths above are relative
+    g = PeriodicGrid(1, 8)
+    herm3 = np.broadcast_to(np.eye(3, dtype=complex), g.shape + (3, 3))
+    snap.write_snapshot(tmp_path / "herm3.anmf", g, herm3, snap.KIND_HERM3)
+    snap.write_snapshot(
+        tmp_path / "curv.anmf", g, np.zeros(g.shape + (3, 3, 3, 3), dtype=complex), snap.KIND_CURV
+    )
+    cfg = _symbol_cfg(tmp_path, **symbol)
+    assert cli.main(["symbol", "--config", cfg]) == cli.EXIT_INPUT_ERROR
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "symbol_report.csv").exists()
+
+
+def test_cli_symbol_snapshot_point(tmp_path):
+    # a snapshot's "at" picks the grid point the symbol is evaluated at
+    g = PeriodicGrid(1, 8)
+    herm3 = np.broadcast_to(np.eye(3, dtype=complex), g.shape + (3, 3)).copy()
+    herm3[7, 2] *= 2.0
+    snap.write_snapshot(tmp_path / "w.anmf", g, herm3, snap.KIND_HERM3)
+    cfg = _symbol_cfg(tmp_path, omega={"snapshot": str(tmp_path / "w.anmf"), "at": [7, 2]})
+    assert cli.main(["symbol", "--config", cfg]) == cli.EXIT_OK
+    rows = (tmp_path / "symbol_report.csv").read_text().strip().splitlines()[1:]
+    # omega = 2 I, |Omega| = 1: min Re = |xi|^2 / (2 ||Omega||_omega) = (1/2) / (2 / sqrt(8));
+    # the origin (omega = I) would give 1/2
+    assert float(rows[0].split(",")[1]) == pytest.approx(2**-0.5, rel=1e-10)
+
+
+def test_run_symbol_one_sweep_call_per_direction(tmp_path, monkeypatch):
+    # the benchmark times one symbol unit per restricted_symbol -> proposition_norm pair
+    calls = []
+    restricted, norm = linearize.restricted_symbol, linearize.proposition_norm
+
+    def counted(tag, fn):
+        def wrapper(xi, omega, abs_omega, r, alpha_p):
+            calls.append((tag, alpha_p, tuple(xi)))
+            return fn(xi, omega, abs_omega, r, alpha_p)
+
+        return wrapper
+
+    monkeypatch.setattr(linearize, "restricted_symbol", counted("restricted", restricted))
+    monkeypatch.setattr(linearize, "proposition_norm", counted("norm", norm))
+    alphas = [0.0, 0.05, 0.2]
+    cfg = _symbol_cfg(tmp_path, curvature={"adversarial": 2.0}, alpha_list=alphas, n_dirs=5)
+    assert cli.main(["symbol", "--config", cfg]) == cli.EXIT_OK
+    xis = sampling.unit_covectors(5, 3)
+    assert calls == [
+        (tag, a, tuple(xi)) for a in alphas for xi in xis for tag in ("restricted", "norm")
+    ]
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats is most of the import time; only the covector sampler loads it
+    src = os.path.dirname(os.path.dirname(anomaly_flow.__file__))
+    code = "import sys, anomaly_flow.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_fuyau_trivial_and_determinism(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anomaly_flow import config as cfgmod
 from anomaly_flow import flow as fl
 from anomaly_flow import grid as gr
 from anomaly_flow import pointwise as pw
@@ -42,7 +43,9 @@ def test_fu_yau_rhs_linearization_about_zero():
 def test_complex_hessian_matches_complex_multipliers():
     # band-limited data: the real Hessian fields are the complex-multiplier values
     rng = np.random.default_rng(4)
-    u = gr.random_bandlimited_scalar(G16, rng, 5, 0.3, n_modes=6)
+    ks, amps = rng.integers(-5, 6, size=(6, 4)), 0.03 * rng.standard_normal((6, 2))
+    modes = [{"k": k, "amplitude": a} for k, a in zip(ks.tolist(), amps.tolist())]
+    u = cfgmod.materialize_scalar(G16, {"modes": modes})
     dz, dzb = gr._symbols(G16)
     uhat = gr.forward(G16, u + 0j)
     h11, h22, re12, im12 = fl._complex_hessian(G16, u)

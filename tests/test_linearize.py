@@ -156,19 +156,29 @@ def test_adversarial_flip_and_threshold():
 
 
 def test_ellipticity_check_aggregate():
-    rep = lin.ellipticity_check(I3, 1.0, RZERO, 0.9, n_dirs=8, seed=5)
+    xis = samp.unit_covectors(8, 5)
+    rep, margin = lin.ellipticity_check(I3, 1.0, RZERO, 0.9, xis)
     assert rep.elliptic
     assert rep.min_real_part == pytest.approx(0.5, rel=1e-10)
-    rep_bad = lin.ellipticity_check(I3, 1.0, samp.trace_curvature(5.0), 0.2, n_dirs=8, seed=5)
+    # zero curvature: the perturbation norm vanishes and |xi|^2 = 1 at omega = I
+    assert margin == pytest.approx(1.0, rel=1e-12)
+    rep_bad, margin_bad = lin.ellipticity_check(I3, 1.0, samp.trace_curvature(5.0), 0.2, xis)
     assert not rep_bad.elliptic
+    # a positive margin would certify ellipticity, so the lost verdict forces margin <= 0
+    assert margin_bad <= 0
+    norms = [lin.proposition_norm(xi, I3, 1.0, samp.trace_curvature(5.0), 0.2) for xi in xis]
+    assert margin_bad == min(lin.xi_norm_sq(xi, I3) - n for xi, n in zip(xis, norms))
     with pytest.raises(DegenerateInputError):
-        lin.ellipticity_check(I3, 1.0, RZERO, 0.0, n_dirs=0, seed=1)
+        samp.unit_covectors(0, 1)
+    with pytest.raises(DegenerateInputError):
+        lin.ellipticity_check(I3, 1.0, RZERO, 0.0, xis[:0])
 
 
 def test_ellipticity_check_deterministic():
-    a = lin.ellipticity_check(I3, 1.0, RZERO, 0.3, n_dirs=8, seed=9)
-    b = lin.ellipticity_check(I3, 1.0, RZERO, 0.3, n_dirs=8, seed=9)
+    a, margin_a = lin.ellipticity_check(I3, 1.0, RZERO, 0.3, samp.unit_covectors(8, 9))
+    b, margin_b = lin.ellipticity_check(I3, 1.0, RZERO, 0.3, samp.unit_covectors(8, 9))
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+    assert margin_a == margin_b
 
 
 def test_proposition_norm_zero_cases_and_linearity():

@@ -196,23 +196,6 @@ def test_variation_consistency_rejects_cone_exit():
         pw.variation_consistency(I3, 1.0, big, 0.5)
 
 
-def test_lambda_contract():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    f = np.einsum("kj,ab->kjab", np.eye(3), m)
-    np.testing.assert_allclose(pw.lambda_contract(f, I3), 3 * m, atol=1e-14)
-    np.testing.assert_allclose(
-        pw.lambda_contract(np.zeros((3, 3, 2, 2)), I3), np.zeros((2, 2)), atol=1e-15
-    )
-    w = np.diag([2.0, 3.0, 4.0]).astype(complex)
-    fd = np.zeros((3, 3, 2, 2), dtype=complex)
-    for j in range(3):
-        fd[j, j] = m
-    np.testing.assert_allclose(
-        pw.lambda_contract(fd, w), m * (1 / 2 + 1 / 3 + 1 / 4), atol=1e-14
-    )
-
-
 def test_outputs_hermitian():
     for _ in range(20):
         w = random_positive(RNG)
