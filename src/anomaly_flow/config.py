@@ -80,6 +80,8 @@ def materialize_scalar(grid: PeriodicGrid, spec, name="field") -> np.ndarray:
     out = float(spec.get("constant", 0.0)) * np.ones(grid.shape)
     xs = grid.coords()
     for mode in spec.get("modes", []):
+        if not isinstance(mode, dict):
+            raise ConfigError(f"{name}: each mode must be an object, got {mode!r}")
         k = mode.get("k")
         amp = mode.get("amplitude")
         if k is None or amp is None or len(k) != 2 * grid.complex_dims:
@@ -146,6 +148,8 @@ def parse_curvature(spec, seed=0, omega=None) -> np.ndarray:
         return sampling.trace_curvature(float(spec["adversarial"]))
     if "random" in spec:
         sub = spec["random"]
+        if not isinstance(sub, dict):
+            raise ConfigError(f"curvature random spec must be an object, got {sub!r}")
         rng = np.random.default_rng(int(sub.get("seed", seed)))
         scale = float(sub.get("scale", 1.0))
         # reality-respecting relative to the metric it will be used with

@@ -13,6 +13,12 @@ the grid axes ordered (x1, y1[, x2, y2]).  Herm3 fields store omega_{jbar k}
 at [..., j, k]; Psi22 fields store Psi^{j kbar} at [..., j, k]; curvature
 fields hold only the c x c active slabs, R_{kbar j}^p_q at [..., k, j, p, q]
 with k, j < c (shape grid.shape + (c, c, 3, 3)).
+
+Inside the spectral pipeline tensor fields are stored component-first,
+T.shape + grid.shape (comp_first), so every grid slab of one component is
+contiguous: a band transform is then one gemm per grid axis, and the
+pointwise 3x3 algebra runs on grid_first views of the same memory.  Band
+coefficients of such a field (band_forward) have shape T.shape + band_shape.
 """
 
 from __future__ import annotations
@@ -77,6 +83,11 @@ class PeriodicGrid:
     def dealias_kmax(self) -> int:
         return self.points_per_dim // 3
 
+    @property
+    def band_shape(self) -> tuple[int, ...]:
+        """Shape of the complex band coefficients of a scalar field (see band_forward)."""
+        return (2 * self.dealias_kmax + 1,) * (2 * self.complex_dims)
+
     def coords(self) -> list[np.ndarray]:
         """Broadcastable coordinate arrays, ordered (x1, y1[, x2, y2])."""
         n, naxes = self.points_per_dim, 2 * self.complex_dims
@@ -86,33 +97,33 @@ class PeriodicGrid:
         ]
 
 
-def _axis_k(grid: PeriodicGrid, axis: int) -> np.ndarray:
+def _band_k(grid: PeriodicGrid) -> np.ndarray:
+    """Integer wavenumbers of the band |k_int| <= N//3 in FFT order (0..m, -m..-1)."""
+    m = grid.dealias_kmax
+    return np.concatenate([np.arange(m + 1), np.arange(-m, 0)])
+
+
+def _axis_k(grid: PeriodicGrid, axis: int, band: bool = False) -> np.ndarray:
     n, naxes = grid.points_per_dim, 2 * grid.complex_dims
-    k = TWO_PI / grid.period * np.fft.fftfreq(n, d=1.0 / n)
-    return k.reshape((1,) * axis + (n,) + (1,) * (naxes - axis - 1))
+    kint = _band_k(grid) if band else np.fft.fftfreq(n, d=1.0 / n)
+    k = TWO_PI / grid.period * kint
+    return k.reshape((1,) * axis + (-1,) + (1,) * (naxes - axis - 1))
 
 
 @lru_cache(maxsize=None)
-def _symbols(grid: PeriodicGrid):
-    """(dz, dzbar) multiplier arrays per active complex coordinate."""
+def _symbols(grid: PeriodicGrid, band: bool = False):
+    """(dz, dzbar) multiplier arrays per active complex coordinate.
+
+    On the full spectrum (grid.shape), or on the band (grid.band_shape, the
+    same values restricted to the kept modes).
+    """
     dz_syms, dzb_syms = [], []
     for j in range(grid.complex_dims):
-        kx = _axis_k(grid, 2 * j)
-        ky = _axis_k(grid, 2 * j + 1)
+        kx = _axis_k(grid, 2 * j, band)
+        ky = _axis_k(grid, 2 * j + 1, band)
         dz_syms.append((1j * kx + ky) / 2.0)
         dzb_syms.append((1j * kx - ky) / 2.0)
     return dz_syms, dzb_syms
-
-
-@lru_cache(maxsize=None)
-def _dealias_mask(grid: PeriodicGrid) -> np.ndarray:
-    n, naxes = grid.points_per_dim, 2 * grid.complex_dims
-    kint = np.fft.fftfreq(n, d=1.0 / n)
-    keep = np.abs(kint) <= grid.dealias_kmax
-    mask = np.ones((), dtype=bool)
-    for i in range(naxes):
-        mask = mask & keep.reshape((1,) * i + (n,) + (1,) * (naxes - i - 1))
-    return mask
 
 
 def _bcast(sym: np.ndarray, f_ndim: int, grid: PeriodicGrid) -> np.ndarray:
@@ -176,7 +187,7 @@ def _band_matrices(grid: PeriodicGrid):
     """
     n, m = grid.points_per_dim, grid.dealias_kmax
     x = np.arange(n)
-    k = np.concatenate([np.arange(m + 1), np.arange(-m, 0)])
+    k = _band_k(grid)
     # reduce k*x mod n in integers so the phases are exact to an ulp
     fwd = np.exp(-1j * (TWO_PI / n) * (np.outer(k, x) % n))
     inv = fwd.conj().T / n
@@ -195,35 +206,82 @@ def _band_matrices(grid: PeriodicGrid):
     return fwd, inv, rfwd, rinv
 
 
-def band_forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    """Two-thirds-rule spectrum of a real scalar field, computing no other modes.
+_CHUNK_BYTES = 1 << 20  # grid data per band-transform chunk: about one core's L2 cache
 
-    The unnormalized DFT of f on |k_int| <= N//3 along every axis, with the
-    last axis as a half spectrum (bins 0..N//3), by dense partial DFTs.
+
+def _band_complex(grid: PeriodicGrid, mat: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """mat along each of the 2c trailing (grid) axes of a complex field.
+
+    The leading (component) axes are taken a chunk at a time, so that each
+    chunk's transforms run in cache; the last axis goes first, as one gemm.
+    """
+    naxes = 2 * grid.complex_dims
+    lead, n_in, n_out = f.shape[:-naxes], f.shape[-1], mat.shape[0]
+    flat = np.ascontiguousarray(f).reshape((-1,) + (n_in,) * naxes)
+    out = np.empty((flat.shape[0],) + (n_out,) * naxes, dtype=complex)
+    step = max(1, _CHUNK_BYTES // (16 * max(n_in, n_out) ** naxes))
+    for i in range(0, flat.shape[0], step):
+        y = along_axis(mat, flat[i : i + step], naxes)
+        for ax in range(1, naxes):
+            y = along_axis(mat, y, ax)
+        out[i : i + step] = y
+    return out.reshape(lead + out.shape[1:])
+
+
+def band_forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
+    """Two-thirds-rule spectrum of a field, computing no other modes.
+
+    The unnormalized DFT of f on |k_int| <= N//3 along its last 2c axes (the
+    grid axes; any leading axes are components, as in comp_first storage),
+    by dense partial DFTs, one gemm per axis.  A real field's last axis is a
+    half spectrum (bins 0..N//3); a complex field keeps the full band on
+    every axis, in FFT order (0..m, -m..-1), shape f.shape[:-2c] +
+    grid.band_shape.
     """
     fwd, _, rfwd, _ = _band_matrices(grid)
+    if np.iscomplexobj(f):
+        return _band_complex(grid, fwd, f)
     last = f.ndim - 1
     y = along_axis(rfwd, np.ascontiguousarray(f, dtype=float), last).view(complex)
-    for ax in range(last):
+    for ax in range(f.ndim - 2 * grid.complex_dims, last):
         y = along_axis(fwd, y, ax)
     return y
 
 
 def band_inverse(grid: PeriodicGrid, chat: np.ndarray) -> np.ndarray:
-    """The real field whose spectrum is chat on the band (see band_forward) and zero elsewhere."""
+    """The field whose spectrum is chat on the band (see band_forward) and zero elsewhere.
+
+    A last axis of N//3 + 1 bins is a real field's half spectrum and gives
+    a real field; a full band (2 (N//3) + 1 bins) gives a complex one.
+    """
     _, inv, _, rinv = _band_matrices(grid)
+    if chat.shape[-1] != grid.dealias_kmax + 1:
+        return _band_complex(grid, inv, chat)
+    last = chat.ndim - 1
     y = chat
-    for ax in range(chat.ndim - 2, -1, -1):
+    for ax in range(last - 1, chat.ndim - 2 * grid.complex_dims - 1, -1):
         y = along_axis(inv, y, ax)
-    return along_axis(rinv, np.ascontiguousarray(y).view(np.float64), chat.ndim - 1)
+    return along_axis(rinv, np.ascontiguousarray(y).view(np.float64), last)
+
+
+def comp_first(f: np.ndarray, ncomp: int = 2) -> np.ndarray:
+    """Component-first storage of a grid.shape + T field: its ncomp tensor axes
+    moved to the front, contiguous (no copy if f is a grid_first view)."""
+    return np.ascontiguousarray(np.moveaxis(f, tuple(range(-ncomp, 0)), tuple(range(ncomp))))
+
+
+def grid_first(f: np.ndarray, ncomp: int = 2) -> np.ndarray:
+    """The grid.shape + T view of component-first storage (no copy)."""
+    return np.moveaxis(f, tuple(range(ncomp)), tuple(range(-ncomp, 0)))
 
 
 def dealias(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    """Two-thirds rule: zero all modes with any |k_int| > N//3."""
-    fhat = forward(grid, f)
-    fhat *= _bcast(_dealias_mask(grid), f.ndim, grid)
-    out = inverse(grid, fhat)
-    return out.real if np.isrealobj(f) else out
+    """Two-thirds rule: zero all modes with any |k_int| > N//3.
+
+    f is a grid.shape + T field, real or complex; a band transform each way.
+    """
+    ncomp = f.ndim - 2 * grid.complex_dims
+    return grid_first(band_inverse(grid, band_forward(grid, comp_first(f, ncomp))), ncomp)
 
 
 def grid_mean(grid: PeriodicGrid, f: np.ndarray):
@@ -258,69 +316,92 @@ def _iddbar_gemm_table():
 
 
 @lru_cache(maxsize=None)
-def _iddbar_symbols(grid: PeriodicGrid):
-    """Broadcast-ready del_l del_mbar multipliers for Herm3 fields."""
-    dz_syms, dzb_syms = _symbols(grid)
+def _iddbar_symbols(grid: PeriodicGrid, band: bool = False):
+    """del_l del_mbar multipliers on the full spectrum or on the band."""
+    dz_syms, dzb_syms = _symbols(grid, band)
     c = grid.complex_dims
-    return {
-        (l, m): _bcast(dz_syms[l] * dzb_syms[m], 2 * c + 2, grid)
-        for l in range(c)
-        for m in range(c)
-    }
+    return {(l, m): dz_syms[l] * dzb_syms[m] for l in range(c) for m in range(c)}
 
 
-def i_ddbar_11(grid: PeriodicGrid, omega_field: np.ndarray, fhat=None) -> np.ndarray:
+def _iddbar_hat(grid: PeriodicGrid, hat: np.ndarray, band: bool) -> np.ndarray:
+    """Spectrum of i del delbar from a component-first spectrum hat, (3, 3) + S."""
+    table = _iddbar_gemm_table()
+    flat = hat.reshape(9, -1)
+    out = None
+    for (l, m), sym in _iddbar_symbols(grid, band).items():
+        term = (table[l, m].T @ flat).reshape(hat.shape)
+        term *= sym
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def i_ddbar_11(grid: PeriodicGrid, omega_field: np.ndarray | None, ohat=None) -> np.ndarray:
     """i del delbar of a Herm3 field, assembled as a Psi22 field.
 
     Linear in the input, hence exactly d-closed at the discrete level.  The
-    gemm table commutes with the transform, so it is applied to the spectrum
-    and one inverse transform assembles the result.  A precomputed
-    full-grid transform may be passed to share work.
+    gemm table commutes with the transform, so it is applied to the
+    spectrum.  A grid-valued omega_field takes one full transform each way
+    and gives a grid field.  Given band coefficients ohat of a
+    component-first field instead (band_forward, shape (3, 3) +
+    grid.band_shape; omega_field is then unused), the multipliers act on the
+    band and the band coefficients of the result are returned.
     """
-    table = _iddbar_gemm_table()
-    if fhat is None:
-        fhat = forward(grid, omega_field)
-    flat = fhat.reshape(-1, 9)
-    out_hat = None
-    for (l, m), sym in _iddbar_symbols(grid).items():
-        term = (flat @ table[l, m]).reshape(fhat.shape)
-        term *= sym
-        if out_hat is None:
-            out_hat = term
-        else:
-            out_hat += term
-    return inverse(grid, out_hat, overwrite=True)
+    if ohat is not None:
+        return _iddbar_hat(grid, ohat, band=True)
+    fhat = forward(grid, omega_field)
+    out = _iddbar_hat(grid, np.moveaxis(fhat, (-2, -1), (0, 1)), band=False)
+    return inverse(grid, grid_first(out), overwrite=True)
 
 
 def chern_curvature(
-    grid: PeriodicGrid, omega_field: np.ndarray, fhat=None, gate: bool = True
+    grid: PeriodicGrid, omega_field: np.ndarray, ohat=None, gate: bool = True
 ) -> np.ndarray:
     """Chern curvature R_{kbar j}^p_q = -del_kbar((omega^{-1} del_j omega)^p_q).
 
     Requires pointwise positivity (checked unless the caller gates it).
     Only the active slabs are returned: shape grid.shape + (c, c, 3, 3);
-    every component with an inactive k or j is zero.  Each (k, j) slab is
-    contiguous in memory (the result is a view of a (c, c) + grid.shape +
-    (3, 3) array).
+    every component with an inactive k or j is zero.  The result is a
+    grid_first view of component-first storage (c, c, 3, 3) + grid.shape,
+    so each slab R_{kbar j}^p_q is contiguous.
+
+    A grid-valued omega_field takes one full transform for del_j, so its
+    content outside the band counts.  Band coefficients ohat of a
+    band-limited omega_field minus a constant (band_forward of its
+    comp_first storage) skip it: del_j omega is a multiplier on the band.
+    Either way omega^{-1} del_j omega is dealiased by band_forward and each
+    slab is the band_inverse of -delbar_k times that band.
     """
+    c = grid.complex_dims
+    dz_band, dzb_band = _symbols(grid, band=True)
+    if ohat is None:
+        fhat = forward(grid, omega_field)
+        dz_full, _ = _symbols(grid)
+
+        def d_omega(j):
+            d = inverse(grid, fhat * _bcast(dz_full[j], fhat.ndim, grid), overwrite=True)
+            return np.moveaxis(d, (-2, -1), (0, 1))
+
+    else:
+
+        def d_omega(j):
+            return band_inverse(grid, ohat * dz_band[j])
+
     if gate:
         assert_positive_field(omega_field, "metric field")
-    dz_syms, dzb_syms = _symbols(grid)
-    pinv = adjugate3(omega_field) / det3(omega_field)[..., None, None]
-    if fhat is None:
-        fhat = forward(grid, omega_field)
-    ndim = fhat.ndim
-    c = grid.complex_dims
-    mask = _bcast(_dealias_mask(grid), ndim, grid)
-    r = np.empty((c, c) + fhat.shape, dtype=complex)
+    pinv = comp_first(adjugate3(omega_field))
+    pinv /= det3(omega_field)
+    a = np.empty((c, 3, 3) + grid.shape, dtype=complex)
     for j in range(c):
-        dm = inverse(grid, fhat * _bcast(dz_syms[j], ndim, grid), overwrite=True)
-        ahat = forward(grid, np.einsum("...pq,...qs->...ps", pinv, dm), overwrite=True)
-        ahat *= mask
-        for k in range(c):
-            # -delbar_k: negating the multiplier negates the transform exactly
-            r[k, j] = inverse(grid, ahat * _bcast(-dzb_syms[k], ndim, grid), overwrite=True)
-    return np.moveaxis(r, (0, 1), (-4, -3))
+        np.einsum("pq...,qs...->ps...", pinv, d_omega(j), out=a[j])
+    del pinv
+    ahat = band_forward(grid, a)
+    del a
+    # -delbar_k: negating the multiplier negates the transform exactly
+    r = band_inverse(grid, np.stack([ahat * -dzb_band[k] for k in range(c)]))
+    return grid_first(r, 4)
 
 
 def _wedge_terms(c: int):
@@ -343,28 +424,34 @@ def _wedge_terms(c: int):
     return terms, comps
 
 
-def tr_r_wedge_r(grid: PeriodicGrid, r_field: np.ndarray) -> np.ndarray:
+def tr_r_wedge_r(grid: PeriodicGrid, r_field: np.ndarray, spectral: bool = False) -> np.ndarray:
     """Pointwise Tr(R ^ R) as a Psi22 field (dealiased product).
 
     r_field may be compact (grid.shape + (c, c, 3, 3), as chern_curvature
     returns it) or dense (grid.shape + (3, 3, 3, 3)); only its active slabs
     are read.  Only the traces and output components that the oracle's
-    wedge table can make nonzero are computed and dealiased.
+    wedge table can make nonzero are computed and dealiased, by band
+    transforms.  spectral returns their band coefficients in
+    component-first storage, (3, 3) + grid.band_shape, in place of the grid
+    field.
     """
     terms, comps = _wedge_terms(grid.complex_dims)
-    out = np.zeros(grid.shape + (3, 3), dtype=complex)
-    if not terms:
-        return out
-    vals = np.zeros(grid.shape + (len(comps),), dtype=complex)
-    for (k, j), (m, l), wt in terms:
-        tr = np.einsum("...ps,...sp->...", r_field[..., k, j, :, :], r_field[..., m, l, :, :])
-        for i, (a, b) in enumerate(comps):
-            if wt[a, b] != 0:
-                vals[..., i] += wt[a, b] * tr
-    vals = dealias(grid, vals)
+    if terms:
+        r = np.moveaxis(r_field, (-4, -3, -2, -1), (0, 1, 2, 3))
+        vals = np.zeros((len(comps),) + grid.shape, dtype=complex)
+        for (k, j), (m, l), wt in terms:
+            tr = np.einsum("ps...,sp...->...", r[k, j], r[m, l])
+            for i, (a, b) in enumerate(comps):
+                if wt[a, b] != 0:
+                    vals[i] += wt[a, b] * tr
+        if spectral:
+            vals = band_forward(grid, vals)
+        else:
+            vals = comp_first(dealias(grid, grid_first(vals, 1)), 1)
+    out = np.zeros((3, 3) + (grid.band_shape if spectral else grid.shape), dtype=complex)
     for i, (a, b) in enumerate(comps):
-        out[..., a, b] = vals[..., i]
-    return out
+        out[a, b] = vals[i]
+    return out if spectral else grid_first(out)
 
 
 @lru_cache(maxsize=None)

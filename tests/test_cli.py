@@ -183,6 +183,7 @@ def _symbol_cfg(tmp_path, **symbol):
         ({"curvature": {"snapshot": "curv.anmf", "at": [-1, 0]}}, "curvature snapshot"),
         ({"curvature": 5}, "curvature spec"),
         ({"omega": 5}, "omega spec"),
+        ({"curvature": {"random": 5}}, "curvature random spec"),
     ],
 )
 def test_cli_symbol_rejects_bad_input(tmp_path, monkeypatch, capsys, symbol, field):
@@ -322,6 +323,43 @@ def test_cli_fuyau_halt_exit_code(tmp_path):
     assert (tmp_path / "u_halt.anmf").exists()
 
 
+def _flow_cfg(tmp_path, command, **spec):
+    section = "fuyau" if command == "flow-fuyau" else "torus"
+    return write_cfg(
+        tmp_path / "flow.json",
+        {
+            "command": command,
+            "seed": 2,
+            "grid": {"complex_dims": 2 if section == "fuyau" else 1, "points_per_dim": 16},
+            "time": {"t_final": 0.01, "dt_fixed": 0.002},
+            "output": {"dir": str(tmp_path)},
+            section: spec,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "command, spec, field",
+    [
+        ("flow-torus", {"alpha_prime": float("nan")}, "alpha_p"),
+        ("flow-torus", {"alpha_prime": float("inf")}, "alpha_p"),
+        ("flow-torus", {"alpha_prime": float("nan"), "stationary": True}, "alpha_p"),
+        ("flow-torus", {"abs_omega": float("nan")}, "abs_omega"),
+        ("flow-torus", {"abs_omega": float("inf"), "stationary": True, "alpha_prime": 0.1},
+         "abs_omega"),
+        ("flow-fuyau", {"alpha_prime": float("nan")}, "alpha_p"),
+        ("flow-fuyau", {"alpha_prime": float("inf")}, "alpha_p"),
+        ("flow-fuyau", {"f": {"modes": [5]}}, "f: each mode"),
+    ],
+)
+def test_cli_flow_rejects_bad_input(tmp_path, capsys, command, spec, field):
+    assert cli.main([command, "--config", _flow_cfg(tmp_path, command, **spec)]) == (
+        cli.EXIT_INPUT_ERROR
+    )
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "monitors.csv").exists()
+
+
 def test_cli_torus_stationary(tmp_path):
     cfg = write_cfg(
         tmp_path / "t.json",
@@ -372,10 +410,10 @@ def test_cli_rejects_nonpositive_dt_fixed(tmp_path):
 
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # a fault raised inside the flow is not bad input
-    def broken(psi, prob):
+    def broken(prob, omega):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(cli.flowmod, "torus_rhs", broken)
+    monkeypatch.setattr(cli.flowmod, "_torus_rate", broken)  # the rate torus_run steps with
     cfg = _torus_cfg(tmp_path, dt_fixed=0.002)
     assert cli.main(["flow-torus", "--config", cfg]) == cli.EXIT_INTERNAL_ERROR
     assert "internal error" in capsys.readouterr().err

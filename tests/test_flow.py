@@ -165,17 +165,81 @@ def test_torus_rhs_flat_stationary():
     assert np.abs(fl.torus_rhs(prob.psi0, prob)).max() < 1e-14
 
 
-def test_torus_rhs_matches_public_composition():
+G8C2 = gr.PeriodicGrid(2, 8)
+
+
+def _c2_problem():
+    """A non-stationary c = 2 problem, a' = 0.2, with a closed, band-limited Phi_0."""
+    om0 = fl.make_balanced_omega0(G8C2, 1.0, seed=5, amplitude=0.05)
+    rng = np.random.default_rng(8)
+    phi0 = pw.hermitize(gr.i_ddbar_11(G8C2, gr.random_bandlimited_herm3(G8C2, rng, 2, 0.05)))
+    return fl.TorusProblem(G8C2, 0.2, 1.0, phi0, om0)
+
+
+def _g32_problem():
     om0 = fl.make_balanced_omega0(G32T, 1.0, seed=5, amplitude=0.03)
-    prob = fl.TorusProblem(G32T, 0.2, 1.0, np.zeros(G32T.shape + (3, 3)), om0)
+    return fl.TorusProblem(G32T, 0.2, 1.0, np.zeros(G32T.shape + (3, 3)), om0)
+
+
+@pytest.mark.parametrize("make", [_g32_problem, _c2_problem], ids=["c1_n32", "c2_n8"])
+def test_torus_rhs_matches_public_composition(make):
+    prob = make()
+    g = prob.grid
     psi = prob.psi0
     omega, _ = pw.omega_from_psi(psi, 1.0)
-    omega_d = gr.dealias(G32T, omega)
-    ref = gr.i_ddbar_11(G32T, omega_d) + 0.2 * (
-        gr.tr_r_wedge_r(G32T, gr.chern_curvature(G32T, omega_d)) - prob.phi0
+    omega_d = gr.dealias(g, omega)
+    ref = gr.i_ddbar_11(g, omega_d) + 0.2 * (
+        gr.tr_r_wedge_r(g, gr.chern_curvature(g, omega_d)) - prob.phi0
     )
     got = fl.torus_rhs(psi, prob)
     assert np.abs(got - ref).max() < 1e-12 * max(np.abs(ref).max(), 1.0)
+    assert fl.stationarity_report(psi, prob) > 1e-3  # a non-stationary state
+
+
+def test_torus_rhs_is_band_limited():
+    prob = _c2_problem()
+    rhs = fl.torus_rhs(prob.psi0, prob)
+    n = G8C2.points_per_dim
+    spec = np.abs(np.fft.fftn(rhs, axes=(0, 1, 2, 3)))
+    high = np.abs(np.fft.fftfreq(n, d=1.0 / n)) > G8C2.dealias_kmax
+    outside = np.any(np.meshgrid(*[high] * 4, indexing="ij"), axis=0)
+    assert spec.max() > 1.0
+    assert spec[outside].max() < 1e-13 * spec.max()
+
+
+def test_torus_problem_rejects_out_of_band_phi0():
+    x, _ = G32T.coords()
+    eta = np.zeros(G32T.shape + (3, 3), dtype=complex)
+    eta[..., 1, 1] = np.cos((G32T.dealias_kmax + 1) * x) * np.ones(G32T.shape)
+    phi0 = gr.i_ddbar_11(G32T, eta)  # closed, with content above N//3
+    assert np.abs(phi0).max() > 1.0
+    om0 = fl.make_balanced_omega0(G32T, 1.0, seed=5, amplitude=0.03)
+    with pytest.raises(ValueError, match="above N//3"):
+        fl.TorusProblem(G32T, 0.2, 1.0, phi0, om0)
+    fl.TorusProblem(G32T, 0.2, 1.0, gr.dealias(G32T, phi0), om0)
+
+
+def test_torus_run_is_rk4_of_torus_rhs():
+    # the run keeps band coefficients but takes the same steps as RK4 of the grid rhs;
+    # Tr(R ^ R) is not exactly Hermitian, so only the accepted state is hermitized
+    prob = _c2_problem()
+    dt, steps = 0.01, 3
+    hist = fl.torus_run(prob, dt * steps, fl.DtControl(dt_fixed=dt))
+    assert hist.halt is None and len(hist.steps) == steps
+
+    def rhs(psi):
+        return fl.torus_rhs(psi, prob)
+
+    psi = prob.psi0
+    for _ in range(steps):
+        k1 = rhs(psi)
+        k2 = rhs(psi + 0.5 * dt * k1)
+        k3 = rhs(psi + 0.5 * dt * k2)
+        k4 = rhs(psi + dt * k3)
+        psi = pw.hermitize(psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    incr = np.abs(psi - prob.psi0).max()
+    assert incr > 1e-4
+    assert np.abs(hist.final_payload - psi).max() < 1e-12 * incr
 
 
 def test_torus_rhs_at_c1_takes_no_curvature(monkeypatch):
