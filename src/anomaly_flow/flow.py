@@ -27,8 +27,8 @@ Tr(R ^ R) come from band transforms too.  Inside that pipeline 3x3 fields
 are stored component-first, (3, 3) + grid.shape, so every transform is a
 gemm along a contiguous grid axis and the pointwise algebra runs on
 grid_first views; the state, the snapshots and torus_rhs keep the
-grid.shape + (3, 3) layout.  Neither flow takes a full-size transform in
-its steps (the balanced-residual monitor does).
+grid.shape + (3, 3) layout.  Neither flow nor the balanced fixture takes a
+full-size transform (the balanced-residual monitor does).
 
 Degenerate events (loss of pointwise positivity, loss of the parabolicity
 margin, non-finite values) halt the run with a diagnostic snapshot instead
@@ -386,7 +386,7 @@ def _anomaly_terms(g: PeriodicGrid, omega: np.ndarray, curvature: bool, gate: bo
     # derivatives annihilate constants; shifting by one value keeps that exact
     base = omega[(Ellipsis,) + (slice(1),) * (2 * g.complex_dims)]
     ohat = band_forward(g, omega - base)
-    iddbar = i_ddbar_11(g, None, ohat=ohat)
+    iddbar = i_ddbar_11(g, ohat)
     if not (curvature and _wedge_terms(g.complex_dims)[0]):
         return iddbar, None
     omega_d = band_inverse(g, ohat)
@@ -491,15 +491,16 @@ def make_balanced_omega0(
     """Positive metric field whose Psi = ||Omega|| omega^2 is exactly closed.
 
     Psi_0 = (constant positive matrix) + i del delbar (band-limited Hermitian
-    field) is closed by construction; omega_0 is recovered pointwise.
+    field) is closed by construction, and band-limited: i del delbar acts on
+    the band coefficients of the field.  omega_0 is recovered pointwise.
     """
     _check_number("abs_omega", abs_omega, positive=True)
     rng = np.random.default_rng(seed)
     eta = random_bandlimited_herm3(grid, rng, kmax, amplitude)
+    iddbar = grid_first(band_inverse(grid, i_ddbar_11(grid, band_forward(grid, comp_first(eta)))))
     base = psi_from_omega(base_scale * np.eye(3, dtype=complex), abs_omega)
-    psi0 = np.broadcast_to(base, grid.shape + (3, 3)).copy() + hermitize(
-        i_ddbar_11(grid, eta)
-    )
+    psi0 = np.broadcast_to(base, grid.shape + (3, 3)).copy()
+    psi0 += hermitize(iddbar)
     assert_positive_field(psi0, "constructed Psi0")
     omega0, _ = omega_from_psi(psi0, abs_omega)
     return omega0

@@ -19,12 +19,14 @@ T.shape + grid.shape (comp_first), so every grid slab of one component is
 contiguous: a band transform is then one gemm per grid axis, and the
 pointwise 3x3 algebra runs on grid_first views of the same memory.  Band
 coefficients of such a field (band_forward) have shape T.shape + band_shape.
+i_ddbar_11 maps band coefficients to band coefficients; the full-grid FFT
+(forward, inverse) is left to d_residual_22 and a grid-valued
+chern_curvature, where content above the band counts.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,20 +38,6 @@ from .errors import PositivityError
 from .pointwise import adjugate3, det3
 
 TWO_PI = 2.0 * np.pi
-
-
-_WORKER_CAP: int | None = None
-
-
-def _workers(nbytes: int = 1 << 30) -> int:
-    """Worker count for FFT calls; threading only pays off on large arrays."""
-    global _WORKER_CAP
-    if _WORKER_CAP is None:
-        env = os.environ.get("ANOMALY_THREADS")
-        _WORKER_CAP = max(1, int(env)) if env else (os.cpu_count() or 1)
-    if nbytes < (1 << 21):
-        return 1
-    return _WORKER_CAP
 
 
 @dataclass(frozen=True)
@@ -133,14 +121,12 @@ def _bcast(sym: np.ndarray, f_ndim: int, grid: PeriodicGrid) -> np.ndarray:
 
 
 def forward(grid: PeriodicGrid, f: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return sfft.fftn(f, axes=grid.axes, workers=_workers(f.nbytes), overwrite_x=overwrite)
+    return sfft.fftn(f, axes=grid.axes, overwrite_x=overwrite)
 
 
 def inverse(grid: PeriodicGrid, fhat: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Inverse transform; overwrite=True may consume fhat (pass only scratch)."""
-    return sfft.ifftn(
-        fhat, axes=grid.axes, workers=_workers(fhat.nbytes), overwrite_x=overwrite
-    )
+    return sfft.ifftn(fhat, axes=grid.axes, overwrite_x=overwrite)
 
 
 def along_axis(mat: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
@@ -315,45 +301,25 @@ def _iddbar_gemm_table():
     return table
 
 
-@lru_cache(maxsize=None)
-def _iddbar_symbols(grid: PeriodicGrid, band: bool = False):
-    """del_l del_mbar multipliers on the full spectrum or on the band."""
-    dz_syms, dzb_syms = _symbols(grid, band)
-    c = grid.complex_dims
-    return {(l, m): dz_syms[l] * dzb_syms[m] for l in range(c) for m in range(c)}
+def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
+    """Band coefficients of i del delbar of a Herm3 field, assembled as a Psi22 field.
 
-
-def _iddbar_hat(grid: PeriodicGrid, hat: np.ndarray, band: bool) -> np.ndarray:
-    """Spectrum of i del delbar from a component-first spectrum hat, (3, 3) + S."""
+    ohat and the result are component-first band coefficients, (3, 3) +
+    grid.band_shape.  Linear in the input, hence exactly d-closed at the
+    discrete level; the gemm table commutes with the transform.
+    """
     table = _iddbar_gemm_table()
-    flat = hat.reshape(9, -1)
+    dz_syms, dzb_syms = _symbols(grid, band=True)
+    flat = ohat.reshape(9, -1)
     out = None
-    for (l, m), sym in _iddbar_symbols(grid, band).items():
-        term = (table[l, m].T @ flat).reshape(hat.shape)
-        term *= sym
+    for l, m in np.ndindex(grid.complex_dims, grid.complex_dims):
+        term = (table[l, m].T @ flat).reshape(ohat.shape)
+        term *= dz_syms[l] * dzb_syms[m]
         if out is None:
             out = term
         else:
             out += term
     return out
-
-
-def i_ddbar_11(grid: PeriodicGrid, omega_field: np.ndarray | None, ohat=None) -> np.ndarray:
-    """i del delbar of a Herm3 field, assembled as a Psi22 field.
-
-    Linear in the input, hence exactly d-closed at the discrete level.  The
-    gemm table commutes with the transform, so it is applied to the
-    spectrum.  A grid-valued omega_field takes one full transform each way
-    and gives a grid field.  Given band coefficients ohat of a
-    component-first field instead (band_forward, shape (3, 3) +
-    grid.band_shape; omega_field is then unused), the multipliers act on the
-    band and the band coefficients of the result are returned.
-    """
-    if ohat is not None:
-        return _iddbar_hat(grid, ohat, band=True)
-    fhat = forward(grid, omega_field)
-    out = _iddbar_hat(grid, np.moveaxis(fhat, (-2, -1), (0, 1)), band=False)
-    return inverse(grid, grid_first(out), overwrite=True)
 
 
 def chern_curvature(

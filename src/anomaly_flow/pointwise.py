@@ -62,7 +62,10 @@ def inv3(m):
 
 
 def hermitize(m):
-    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    """(m + m^H) / 2 per matrix, in m's memory layout (a component-first m stays so)."""
+    out = np.add(m, np.conj(np.swapaxes(m, -1, -2)), out=np.empty_like(m))
+    out *= 0.5
+    return out
 
 
 def herm3_min_eig(m):

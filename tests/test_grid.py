@@ -33,8 +33,9 @@ def _apply(grid, sym, f):
     return np.fft.ifftn(sym * np.fft.fftn(f, axes=axes), axes=axes)
 
 
-# gr._symbols holds the del_j/delbar_j multipliers of i_ddbar_11, chern_curvature and
-# d_residual_22; the next four tests pin their convention on G1 (z = x + i y).
+# gr._symbols holds the del_j/delbar_j multipliers of chern_curvature and d_residual_22,
+# and on the band those of i_ddbar_11; the next four tests pin their convention on G1
+# (z = x + i y).
 
 
 def test_diff_constant_is_zero():
@@ -68,18 +69,21 @@ def test_spectral_exactness():
     np.testing.assert_allclose(_apply(G1, dz, f), exact * np.ones(G1.shape), atol=1e-12)
 
 
-def test_i_ddbar_of_constant():
-    assert np.abs(gr.i_ddbar_11(G1, const_herm3(G1, np.eye(3)))).max() == 0
+def _band_i_ddbar(grid, wf):
+    """i_ddbar_11 of a grid Herm3 field's band coefficients, back on the grid."""
+    ohat = gr.band_forward(grid, gr.comp_first(np.asarray(wf, dtype=complex)))
+    return gr.grid_first(gr.band_inverse(grid, gr.i_ddbar_11(grid, ohat)))
 
 
 def test_i_ddbar_conformal_closed_form():
+    # e^phi is not band-limited: i_ddbar_11 acts on its two-thirds band
     x, y = G1.coords()
     phi = 0.1 * np.cos(x) * np.ones(G1.shape) + 0.05 * np.sin(x + 2 * y)
     ephi = np.exp(phi)
     wf = ephi[..., None, None] * np.eye(3)
-    out = gr.i_ddbar_11(G1, wf)
-    dz, dzb, _ = _numpy_symbols(G1)
-    d11 = _apply(G1, (dz[0] * dzb[0])[..., 0, 0], ephi)
+    out = _band_i_ddbar(G1, wf)
+    dz, dzb, mask = _numpy_symbols(G1)
+    d11 = _apply(G1, (mask * dz[0] * dzb[0])[..., 0, 0], ephi)
     np.testing.assert_allclose(out[..., 1, 1], d11 / 2, atol=1e-12)
     np.testing.assert_allclose(out[..., 2, 2], d11 / 2, atol=1e-12)
     assert np.abs(out[..., 0, 0]).max() < 1e-14
@@ -88,7 +92,7 @@ def test_i_ddbar_conformal_closed_form():
 
 def test_i_ddbar_is_closed_and_exact():
     wf = const_herm3(G1, 2 * np.eye(3)) + gr.random_bandlimited_herm3(G1, RNG, 5, 0.3)
-    psi = gr.i_ddbar_11(G1, wf)
+    psi = _band_i_ddbar(G1, wf)
     base = const_herm3(G1, np.eye(3))
     assert gr.d_residual_22(G1, psi + base) < 1e-10
     # zero mode of an exact form vanishes identically
@@ -225,7 +229,7 @@ def test_tr_r_wedge_r_matches_full_einsum_compact_and_dense():
 
 @pytest.mark.parametrize("grid", [G1, G2])
 def test_i_ddbar_spectral_side_matches_per_term_inverse(grid):
-    # the gemm table applied after one inverse per (l, m) gives the same field
+    # the gemm table on the band equals numpy.fft's inverse per (l, m) then the table
     wf = const_herm3(grid, 2 * np.eye(3)) + gr.random_bandlimited_herm3(grid, RNG, 4, 0.3)
     dz, dzb, _ = _numpy_symbols(grid)
     axes = tuple(range(2 * grid.complex_dims))
@@ -236,7 +240,7 @@ def test_i_ddbar_spectral_side_matches_per_term_inverse(grid):
         for m in range(grid.complex_dims):
             d2 = np.fft.ifftn(dz[l] * dzb[m] * fh, axes=axes)
             ref = ref + np.einsum("...kj,jkab->...ab", d2, w[l, m])
-    got = gr.i_ddbar_11(grid, wf)
+    got = _band_i_ddbar(grid, wf)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 

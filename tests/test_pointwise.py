@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomaly_flow import exterior as ex
+from anomaly_flow import grid as gr
 from anomaly_flow import pointwise as pw
 from anomaly_flow.errors import ConditioningError, PositivityError
 from anomaly_flow.sampling import random_hermitian, random_positive
@@ -212,3 +213,13 @@ def test_batched_inputs():
     assert ws.shape == (8, 3, 3) and nrms.shape == (8,)
     back = pw.psi_from_omega(ws, 1.2)
     assert np.abs(back - psis).max() < 1e-10
+
+
+def test_hermitize_keeps_component_first_memory():
+    # the torus state at c = 2, N = 8; numpy's own choice of output order depends on size
+    shape = (3, 3) + gr.PeriodicGrid(2, 8).shape
+    x = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    m = gr.grid_first(x)
+    h = pw.hermitize(m)
+    assert np.shares_memory(gr.comp_first(h), h)  # comp_first takes no copy
+    np.testing.assert_array_equal(h, 0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
