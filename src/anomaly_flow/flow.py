@@ -471,15 +471,6 @@ def torus_run(
                       rhs, monitors, to_state=to_state, finish=hermitize, on_step=on_step)
 
 
-def stationarity_report(psi_field: np.ndarray, prob: TorusProblem) -> float:
-    """|| i del delbar omega + a' (Tr R^R - Phi_0) ||_L2 / ||Psi||_L2.
-
-    Zero (at the integration-error floor) certifies a stationary solution of
-    the anomaly equation, together with the balanced monitor.
-    """
-    return l2_norm(prob.grid, torus_rhs(psi_field, prob)) / l2_norm(prob.grid, psi_field)
-
-
 def make_balanced_omega0(
     grid: PeriodicGrid,
     abs_omega: float,

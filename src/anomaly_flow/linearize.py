@@ -10,11 +10,18 @@ kernel is the 4-real-dimensional space of Hermitian dPsi with
 xi_j dPsi^{j kbar} = 0; the restriction is represented as a real 4x4 matrix
 in a Frobenius-orthonormal basis and eigenvalues are those of that matrix
 (complex pairs allowed).
+
+Each covector is one stacked pass: the form arguments of rm_apply, wedge_xi_extract,
+delta_tilde_symbol and coupled_symbol broadcast over leading axes, so restricted_symbol,
+proposition_norm and coupled_symbol_matrix map the whole kernel basis (and the bundle
+directions) in one call; omega is checked and inverted a fixed number of times per call,
+not once per kernel element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,11 +67,12 @@ def rm_apply(r, domega, omega):
     The index is raised with omega: R_{kbar j}^{p qbar} = R_{kbar j}^p_s omega^{s qbar}.
     """
     p = inv3(omega)
-    return np.einsum("kjps,sq,qp->kj", r, p, domega)
+    return np.einsum("kjps,sq,...qp->...kj", r, p, domega)
 
 
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Frobenius-orthonormal real basis of Hermitian dim x dim matrices."""
+@lru_cache(maxsize=None)
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Frobenius-orthonormal real basis (dim^2, dim, dim) of Hermitian matrices; read-only."""
     basis = []
     for a in range(dim):
         e = np.zeros((dim, dim), dtype=complex)
@@ -79,11 +87,13 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
             k[a, b] = 1j / np.sqrt(2.0)
             k[b, a] = -1j / np.sqrt(2.0)
             basis.append(k)
+    basis = np.stack(basis)
+    basis.flags.writeable = False
     return basis
 
 
-def d_symbol_kernel(xi) -> list[np.ndarray]:
-    """Frobenius-orthonormal real basis of {Hermitian dPsi : xi_j dPsi^{j kbar} = 0}.
+def d_symbol_kernel(xi) -> np.ndarray:
+    """Frobenius-orthonormal real basis (4, 3, 3) of {Hermitian dPsi : xi_j dPsi^{j kbar} = 0}.
 
     The constraint is dPsi @ conj(xi) = 0, so the kernel is carried by the
     2x2 Hermitian block on the orthogonal complement of conj(xi); its real
@@ -102,14 +112,15 @@ def d_symbol_kernel(xi) -> list[np.ndarray]:
         if len(cols) == 3:
             break
     u1 = np.stack(cols[1:], axis=1)  # 3x2, orthogonal complement of v
-    return [u1 @ b @ u1.conj().T for b in hermitian_basis(2)]
+    return u1 @ hermitian_basis(2) @ u1.conj().T
 
 
 def wedge_xi_extract(xi, phi) -> np.ndarray:
-    """Components of i xi ^ xibar ^ phi for a (1,1)-form phi (oracle-pinned)."""
-    xi = np.asarray(xi, dtype=complex)
-    w = exterior.wedge22_table()
-    return np.einsum("j,k,ml,jklmab->ab", xi, np.conj(xi), np.asarray(phi, dtype=complex), w)
+    """Components of i xi ^ xibar ^ phi for (1,1)-forms phi, shape (..., 3, 3) (oracle-pinned)."""
+    xi, phi = np.asarray(xi, dtype=complex), np.asarray(phi, dtype=complex)
+    # the 9x9 map from phi's entries (m, l) to the components (a, b), for this xi
+    x = np.einsum("j,k,jklmab->mlab", xi, np.conj(xi), exterior.wedge22_table()).reshape(9, 9)
+    return (phi.reshape(phi.shape[:-2] + (9,)) @ x).reshape(phi.shape)
 
 
 def delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, dpsi) -> np.ndarray:
@@ -120,15 +131,17 @@ def delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, dpsi) -> np.ndarray:
     return wedge_xi_extract(xi, arg)
 
 
-def _project_onto(basis, x, scale, tol, what):
-    """Real Frobenius coordinates of x in `basis`; error if x leaves their span."""
-    coords = np.array([float(np.real(np.trace(x @ b))) for b in basis])
-    recon = sum(c * b for c, b in zip(coords, basis))
-    res = np.abs(x - recon).max()
-    if res > tol * scale:
-        raise ProjectionResidualError(
-            f"{what} leaves the d-symbol kernel (residual {res:.3e}, scale {scale:.3e})"
-        )
+def _project_onto(basis, x, floor, tol, what):
+    """Real Frobenius coordinates (len(x), len(basis)) of the images x; error if one leaves
+    their span, by its residual against its own scale max(its largest entry, floor)."""
+    coords = np.einsum("nij,bji->nb", x, basis).real
+    res = np.abs(x - np.einsum("nb,bij->nij", coords, basis)).max(axis=(1, 2))
+    scale = np.maximum(np.abs(x).max(axis=(1, 2)), floor)
+    bad = np.flatnonzero(res > tol * scale)
+    if bad.size:
+        j = bad[0]
+        raise ProjectionResidualError(f"{what} {j} leaves the d-symbol kernel "
+                                      f"(residual {res[j]:.3e}, scale {scale[j]:.3e})")
     return coords
 
 
@@ -141,14 +154,11 @@ def restricted_symbol(xi, omega, abs_omega, r, alpha_p, kernel_tol=KERNEL_TOL) -
     strictly positive.
     """
     xi = _check_xi(xi)
-    assert_positive(omega, "omega")
+    nrm = float(norm_omega(omega, abs_omega))  # checks omega
     basis = d_symbol_kernel(xi)
-    scale = xi_norm_sq(xi, omega) / (2.0 * float(norm_omega(omega, abs_omega)))
-    mat = np.empty((4, 4))
-    for j, w in enumerate(basis):
-        img = delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, w)
-        img_scale = max(float(np.abs(img).max()), scale)
-        mat[:, j] = _project_onto(basis, img, img_scale, kernel_tol, "symbol image")
+    scale = xi_norm_sq(xi, omega) / (2.0 * nrm)
+    img = delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, basis)
+    mat = _project_onto(basis, img, scale, kernel_tol, "symbol image").T
     eigs = np.linalg.eigvals(mat)
     min_re = float(eigs.real.min())
     return SymbolReport(
@@ -187,15 +197,11 @@ def proposition_norm(xi, omega, abs_omega, r, alpha_p) -> float:
     assert_positive(omega, "omega")
     if alpha_p == 0:
         return 0.0
-    basis = d_symbol_kernel(xi)
-    cols = []
-    for w in basis:
-        star = hodge_star22(w, omega)
-        arg = np.real(inner11(star, omega, omega)) * omega - star
-        img = -2.0 * alpha_p * wedge_xi_extract(xi, rm_apply(r, arg, omega))
-        cols.append(np.concatenate([img.real.ravel(), img.imag.ravel()]))
-    m = np.stack(cols, axis=1)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    star = hodge_star22(d_symbol_kernel(xi), omega)
+    arg = np.real(inner11(star, omega, omega))[:, None, None] * omega - star
+    img = -2.0 * alpha_p * wedge_xi_extract(xi, rm_apply(r, arg, omega))
+    rows = np.concatenate([img.real, img.imag], axis=1).reshape(len(img), -1)
+    return float(np.linalg.svd(rows, compute_uv=False)[0])
 
 
 def coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, dpsi, dh):
@@ -208,7 +214,7 @@ def coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, dpsi, dh):
     """
     xi = _check_xi(xi)
     assert_positive(h, "H")
-    tr_form = np.einsum("kjab,bc,ca->kj", f, np.linalg.inv(h), dh)
+    tr_form = np.einsum("kjab,bc,...ca->...kj", f, np.linalg.inv(h), dh)
     first = delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, dpsi)
     first = first + 2.0 * alpha_p * wedge_xi_extract(xi, tr_form)
     second = xi_norm_sq(xi, omega) * np.asarray(dh, dtype=complex)
@@ -219,26 +225,19 @@ def coupled_symbol_matrix(xi, omega, abs_omega, r, alpha_p, f, h, kernel_tol=KER
     """Real matrix of the coupled symbol on (d-symbol kernel) + Hermitian(r).
 
     Basis: the 4 kernel elements followed by the r^2 Hermitian bundle
-    directions.  The lower-left block is verified to vanish identically.
+    directions, mapped in one stacked call.  The lower-left block is
+    verified to vanish identically.
     """
     xi = _check_xi(xi)
-    rank = h.shape[0]
     kern = d_symbol_kernel(xi)
-    hbasis = hermitian_basis(rank)
-    dim = 4 + rank * rank
-    mat = np.zeros((dim, dim))
+    hbasis = hermitian_basis(h.shape[0])
+    dpsi = np.concatenate([kern, np.zeros((len(hbasis), 3, 3), dtype=complex)])
+    dh = np.concatenate([np.zeros((4,) + hbasis.shape[1:], dtype=complex), hbasis])
     scale = xi_norm_sq(xi, omega) / (2.0 * float(norm_omega(omega, abs_omega)))
-    zero_h = np.zeros((rank, rank), dtype=complex)
-    zero_psi = np.zeros((3, 3), dtype=complex)
-    for j, w in enumerate(kern):
-        first, second = coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, w, zero_h)
-        if np.abs(second).max() > 0.0:
-            raise ProjectionResidualError("coupled symbol is not block triangular")
-        img_scale = max(float(np.abs(first).max()), scale)
-        mat[:4, j] = _project_onto(kern, first, img_scale, kernel_tol, "coupled symbol image")
-    for j, b in enumerate(hbasis):
-        first, second = coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, zero_psi, b)
-        img_scale = max(float(np.abs(first).max()), scale)
-        mat[:4, 4 + j] = _project_onto(kern, first, img_scale, kernel_tol, "coupled mixing block")
-        mat[4:, 4 + j] = [float(np.real(np.trace(second @ c))) for c in hbasis]
+    first, second = coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, dpsi, dh)
+    if np.abs(second[:4]).max() > 0.0:
+        raise ProjectionResidualError("coupled symbol is not block triangular")
+    mat = np.zeros((4 + len(hbasis),) * 2)
+    mat[:4] = _project_onto(kern, first, scale, kernel_tol, "coupled symbol image").T
+    mat[4:, 4:] = np.einsum("jab,iba->ij", second[4:], hbasis).real
     return mat

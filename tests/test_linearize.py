@@ -7,7 +7,12 @@ from anomaly_flow import exterior as ex
 from anomaly_flow import linearize as lin
 from anomaly_flow import pointwise as pw
 from anomaly_flow import sampling as samp
-from anomaly_flow.errors import DegenerateInputError, ProjectionResidualError
+from anomaly_flow.errors import (
+    ConditioningError,
+    DegenerateInputError,
+    PositivityError,
+    ProjectionResidualError,
+)
 from anomaly_flow.exact import gr
 
 I3 = np.eye(3, dtype=complex)
@@ -55,7 +60,7 @@ def test_d_symbol_kernel_random():
     for _ in range(20):
         xi = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
         basis = lin.d_symbol_kernel(xi)
-        assert len(basis) == 4
+        assert basis.shape == (4, 3, 3)
         gram = np.array(
             [[np.real(np.trace(a @ b)) for a in basis] for b in basis]
         )
@@ -265,3 +270,142 @@ def test_alpha_continuity_radius():
     alpha_star = lin.xi_norm_sq(xi, w) / n1
     for alpha in np.linspace(0, 0.95 * alpha_star, 6):
         assert lin.restricted_symbol(xi, w, ab, r, alpha).elliptic
+
+
+def _draw(rng):
+    """One seeded (xi, omega, |Omega|, R, a') draw of the symbol suites' kind."""
+    w = samp.random_positive(rng)
+    ab = 0.5 + rng.random()
+    r = samp.random_curvature_for_metric(rng, w, 2.0 * rng.random())
+    return rng.standard_normal(3) + 1j * rng.standard_normal(3), w, ab, r, 0.4 * rng.random()
+
+
+def _coords_one(basis, img, floor):
+    """Real Frobenius coordinates of one image, with its own kernel-leak check."""
+    coords = np.array([np.real(np.trace(img @ b)) for b in basis])
+    recon = sum(c * b for c, b in zip(coords, basis))
+    assert np.abs(img - recon).max() <= lin.KERNEL_TOL * max(np.abs(img).max(), floor)
+    return coords
+
+
+def _rel(got, ref):
+    return np.abs(np.asarray(got) - ref).max() / np.abs(ref).max()
+
+
+def test_stacked_symbol_matches_one_element_at_a_time():
+    rng = np.random.default_rng(20)
+    for trial in range(60):
+        xi, w, ab, r, alpha = _draw(rng)
+        kern = lin.d_symbol_kernel(xi)
+        floor = lin.xi_norm_sq(xi, w) / (2.0 * pw.norm_omega(w, ab))
+        # restricted symbol: each kernel element through delta_tilde_symbol on its own
+        cols = []
+        for dpsi in kern:
+            img = lin.delta_tilde_symbol(xi, w, ab, r, alpha, dpsi)
+            cols.append(_coords_one(kern, img, floor))
+        mat = np.stack(cols, axis=1)
+        vals, vecs = np.linalg.eig(mat)
+        got = np.sort_complex(lin.restricted_symbol(xi, w, ab, r, alpha).eigenvalues)
+        # the matrix itself is compared at 1e-12 with coupled_symbol_matrix[:4, :4] below;
+        # its eigenvalues move by up to cond(V) times a matrix change (Bauer-Fike), and the
+        # restricted matrix is not normal, so their bound carries that factor
+        bound = 1e-12 * np.linalg.cond(vecs) * np.linalg.norm(mat, 2)
+        assert np.abs(got - np.sort_complex(vals)).max() < bound
+        # curvature-bound norm: the per-element operator of proposition_norm's docstring
+        rows = []
+        for dpsi in kern:
+            star = pw.hodge_star22(dpsi, w)
+            arg = np.real(pw.inner11(star, w, w)) * w - star
+            img = -2 * alpha * lin.wedge_xi_extract(xi, lin.rm_apply(r, arg, w))
+            rows.append(np.concatenate([img.real.ravel(), img.imag.ravel()]))
+        ref = np.linalg.svd(np.stack(rows), compute_uv=False)[0]
+        assert abs(lin.proposition_norm(xi, w, ab, r, alpha) - ref) < 1e-12 * ref
+        # coupled matrix: each of the 4 + rank^2 directions through coupled_symbol on its own
+        rank = 1 + trial % 3
+        h = samp.random_positive_endo(rng, rank)
+        f = samp.random_endcurv(rng, h)
+        hbasis = lin.hermitian_basis(rank)
+        dirs = [(k, np.zeros((rank, rank), complex)) for k in kern]
+        dirs += [(np.zeros((3, 3), complex), b) for b in hbasis]
+        ref = np.zeros((4 + rank**2, 4 + rank**2))
+        for j, (dpsi, dh) in enumerate(dirs):
+            first, second = lin.coupled_symbol(xi, w, ab, r, alpha, f, h, dpsi, dh)
+            ref[:4, j] = _coords_one(kern, first, floor)
+            ref[4:, j] = [np.real(np.trace(second @ c)) for c in hbasis]
+        got = lin.coupled_symbol_matrix(xi, w, ab, r, alpha, f, h)
+        assert _rel(got, ref) < 1e-12
+        assert _rel(got[:4, :4], mat) < 1e-12
+
+
+def test_public_symbol_helpers_broadcast_over_leading_axes():
+    rng = np.random.default_rng(21)
+    xi, w, ab, r, alpha = _draw(rng)
+    rank = 2
+    h = samp.random_positive_endo(rng, rank)
+    f = samp.random_endcurv(rng, h)
+    forms = np.stack([samp.random_hermitian(rng) for _ in range(8)]).reshape(2, 4, 3, 3)
+    dhs = np.stack([samp.random_hermitian(rng, rank) for _ in range(8)]).reshape(2, 4, rank, rank)
+    stacked = {
+        "rm_apply": lin.rm_apply(r, forms, w),
+        "wedge_xi_extract": lin.wedge_xi_extract(xi, forms),
+        "delta_tilde_symbol": lin.delta_tilde_symbol(xi, w, ab, r, alpha, forms),
+        "coupled_symbol": lin.coupled_symbol(xi, w, ab, r, alpha, f, h, forms, dhs)[0],
+    }
+    for name, out in stacked.items():
+        assert out.shape == (2, 4, 3, 3), name
+    for i in range(2):
+        for j in range(4):
+            one = forms[i, j]
+            assert _rel(stacked["rm_apply"][i, j], lin.rm_apply(r, one, w)) < 1e-14
+            assert _rel(stacked["wedge_xi_extract"][i, j], lin.wedge_xi_extract(xi, one)) < 1e-14
+            ref = lin.delta_tilde_symbol(xi, w, ab, r, alpha, one)
+            assert _rel(stacked["delta_tilde_symbol"][i, j], ref) < 1e-14
+            first, second = lin.coupled_symbol(xi, w, ab, r, alpha, f, h, one, dhs[i, j])
+            assert _rel(stacked["coupled_symbol"][i, j], first) < 1e-14
+    with pytest.raises(ValueError):
+        lin.hermitian_basis(2)[0, 0, 0] = 2.0  # the cached stack is read-only
+
+
+def test_kernel_leak_check_runs_on_every_image():
+    rng = np.random.default_rng(22)
+    h = samp.random_positive_endo(rng, 2)
+    f = samp.random_endcurv(rng, h)
+    for _ in range(5):
+        xi, w, ab, _, _ = _draw(rng)
+        # raw complex noise, not passed through the reality condition
+        bad = rng.standard_normal((3, 3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3, 3))
+        with pytest.raises(ProjectionResidualError):
+            lin.restricted_symbol(xi, w, ab, bad, 0.3)
+        with pytest.raises(ProjectionResidualError):
+            lin.coupled_symbol_matrix(xi, w, ab, bad, 0.3, f, h)
+    # a small leaking image beside a large clean one is judged on its own scale
+    kern = lin.d_symbol_kernel(E1)
+    leak = np.zeros((3, 3), complex)
+    leak[0, 0] = 1.0  # not in the kernel of E1
+    images = np.stack([1e4 * kern[0], kern[1] + 1e-7 * leak])
+    with pytest.raises(ProjectionResidualError, match="image 1 "):
+        lin._project_onto(kern, images, 1.0, lin.KERNEL_TOL, "image")
+    lin._project_onto(kern, images[:1], 1.0, lin.KERNEL_TOL, "image")
+
+
+_XI = np.array([0.3, 1.0 - 0.2j, 0.5j])
+RTRACE = samp.trace_curvature(1.0)
+_BAD_INPUTS = {
+    "indefinite omega": (_XI, np.diag([1.0, 2.0, -0.5]).astype(complex), PositivityError),
+    "non-Hermitian omega": (_XI, I3 + np.triu(np.ones((3, 3)), 1), PositivityError),
+    "omega with cond > 1e12": (_XI, np.diag([1.0, 1.0, 5e-13]).astype(complex), ConditioningError),
+    "xi = 0": (np.zeros(3), I3, DegenerateInputError),
+}
+_SYMBOL_CALLS = {
+    "restricted_symbol": lambda xi, w: lin.restricted_symbol(xi, w, 1.0, RZERO, 0.1),
+    "proposition_norm": lambda xi, w: lin.proposition_norm(xi, w, 1.0, RTRACE, 0.1),
+    "proposition_norm at a'=0": lambda xi, w: lin.proposition_norm(xi, w, 1.0, RZERO, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", list(_SYMBOL_CALLS))
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_symbol_keeps_every_input_check(call, case):
+    xi, w, err = _BAD_INPUTS[case]
+    with pytest.raises(err):
+        _SYMBOL_CALLS[call](xi, w)
