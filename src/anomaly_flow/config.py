@@ -125,9 +125,9 @@ def _snapshot_point(spec, kind, name, kind_name) -> np.ndarray:
     return np.asarray(fieldv[tuple(at)], dtype=complex)
 
 
-def parse_omega_point(spec, default_scale=1.0) -> np.ndarray:
+def parse_omega_point(spec) -> np.ndarray:
     if spec is None:
-        return default_scale * np.eye(3, dtype=complex)
+        return np.eye(3, dtype=complex)
     if not isinstance(spec, dict):
         raise ConfigError(f"omega spec must be an object, got {spec!r}")
     if "identity" in spec:
@@ -139,7 +139,7 @@ def parse_omega_point(spec, default_scale=1.0) -> np.ndarray:
     raise ConfigError("omega spec needs identity, inline or snapshot")
 
 
-def parse_curvature(spec, seed=0, omega=None) -> np.ndarray:
+def parse_curvature(spec, seed, omega) -> np.ndarray:
     if not isinstance(spec, (dict, type(None))):
         raise ConfigError(f"curvature spec must be an object, got {spec!r}")
     if spec is None or spec.get("zero"):
@@ -153,9 +153,7 @@ def parse_curvature(spec, seed=0, omega=None) -> np.ndarray:
         rng = np.random.default_rng(int(sub.get("seed", seed)))
         scale = float(sub.get("scale", 1.0))
         # reality-respecting relative to the metric it will be used with
-        if omega is not None:
-            return sampling.random_curvature_for_metric(rng, omega, scale)
-        return sampling.random_curvature(rng, scale)
+        return sampling.random_curvature_for_metric(rng, omega, scale)
     if "inline" in spec:
         arr = np.asarray(
             [

@@ -20,7 +20,7 @@ not once per kernel element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,7 +45,6 @@ class SymbolReport:
     min_real_part: float
     elliptic: bool
     kernel_dim: int = 4
-    xi: np.ndarray | None = field(default=None, repr=False)
 
 
 def xi_norm_sq(xi, omega) -> float:
@@ -145,12 +144,12 @@ def _project_onto(basis, x, floor, tol, what):
     return coords
 
 
-def restricted_symbol(xi, omega, abs_omega, r, alpha_p, kernel_tol=KERNEL_TOL) -> SymbolReport:
+def restricted_symbol(xi, omega, abs_omega, r, alpha_p) -> SymbolReport:
     """Eigenvalues of the symbol restricted to the kernel of the d-symbol.
 
     Builds the real 4x4 matrix of dPsi -> delta_tilde_symbol in the
     d_symbol_kernel basis after verifying that every image lies in the
-    kernel (to `kernel_tol`, relative).  Verdict: all eigenvalue real parts
+    kernel (to KERNEL_TOL, relative).  Verdict: all eigenvalue real parts
     strictly positive.
     """
     xi = _check_xi(xi)
@@ -158,11 +157,11 @@ def restricted_symbol(xi, omega, abs_omega, r, alpha_p, kernel_tol=KERNEL_TOL) -
     basis = d_symbol_kernel(xi)
     scale = xi_norm_sq(xi, omega) / (2.0 * nrm)
     img = delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, basis)
-    mat = _project_onto(basis, img, scale, kernel_tol, "symbol image").T
+    mat = _project_onto(basis, img, scale, KERNEL_TOL, "symbol image").T
     eigs = np.linalg.eigvals(mat)
     min_re = float(eigs.real.min())
     return SymbolReport(
-        eigenvalues=eigs, min_real_part=min_re, elliptic=bool(min_re > 0.0), xi=xi
+        eigenvalues=eigs, min_real_part=min_re, elliptic=bool(min_re > 0.0)
     )
 
 
@@ -221,7 +220,7 @@ def coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, dpsi, dh):
     return first, second
 
 
-def coupled_symbol_matrix(xi, omega, abs_omega, r, alpha_p, f, h, kernel_tol=KERNEL_TOL):
+def coupled_symbol_matrix(xi, omega, abs_omega, r, alpha_p, f, h):
     """Real matrix of the coupled symbol on (d-symbol kernel) + Hermitian(r).
 
     Basis: the 4 kernel elements followed by the r^2 Hermitian bundle
@@ -238,6 +237,6 @@ def coupled_symbol_matrix(xi, omega, abs_omega, r, alpha_p, f, h, kernel_tol=KER
     if np.abs(second[:4]).max() > 0.0:
         raise ProjectionResidualError("coupled symbol is not block triangular")
     mat = np.zeros((4 + len(hbasis),) * 2)
-    mat[:4] = _project_onto(kern, first, scale, kernel_tol, "coupled symbol image").T
+    mat[:4] = _project_onto(kern, first, scale, KERNEL_TOL, "coupled symbol image").T
     mat[4:, 4:] = np.einsum("jab,iba->ij", second[4:], hbasis).real
     return mat

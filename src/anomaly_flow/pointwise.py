@@ -7,7 +7,9 @@ and the modified star operator.  All matrices follow the convention of
 (row index barred), a (2,2)-form is ``Q[a, b] = Psi^{a bbar}``.
 
 Every function accepts stacked inputs of shape ``(..., 3, 3)`` and broadcasts
-over the leading axes; validation reports the worst offending slice.
+over the leading axes; validation reports the worst offending slice.  The
+scalar ``abs_omega`` (``|Omega|``) may be a number or an array over those
+leading axes, one value per matrix.
 
 The Hodge star is implemented as
 
@@ -107,12 +109,12 @@ def assert_hermitian(m, name="matrix"):
         raise PositivityError(f"{name} is not Hermitian (residual {res:.3e})")
 
 
-def assert_positive(m, name="matrix", cond_max=COND_MAX):
+def assert_positive(m, name="matrix"):
     """Validate Hermitian positive definiteness and conditioning.
 
     Eigenvalues must exceed POSITIVITY_EPS * trace: a nonpositive eigenvalue
     raises PositivityError, a positive one below the threshold (or a
-    condition number above cond_max) raises ConditioningError.  Returns the
+    condition number above COND_MAX) raises ConditioningError.  Returns the
     eigenvalues, stacked along the leading axes.
     """
     assert_hermitian(m, name)
@@ -122,7 +124,7 @@ def assert_positive(m, name="matrix", cond_max=COND_MAX):
         raise PositivityError(f"{name} is not positive definite (min eig {worst:.3e})")
     tr = np.real(np.trace(m, axis1=-2, axis2=-1))
     cond = eigs[..., -1] / eigs[..., 0]
-    if np.any(eigs[..., 0] <= POSITIVITY_EPS * np.abs(tr)) or np.any(cond > cond_max):
+    if np.any(eigs[..., 0] <= POSITIVITY_EPS * np.abs(tr)) or np.any(cond > COND_MAX):
         raise ConditioningError(
             f"{name} is too ill-conditioned (min eig {worst:.3e}, "
             f"cond {float(cond.max()):.3e})"
@@ -130,12 +132,12 @@ def assert_positive(m, name="matrix", cond_max=COND_MAX):
     return eigs
 
 
-def root22(psi, cond_max=COND_MAX):
+def root22(psi):
     """Unique positive (1,1)-root w of a positive (2,2)-form: w ^ w = Psi.
 
     w = det(w) * Psi^{-1} with det(w) = sqrt(det Psi), i.e. adj(Psi)/sqrt(det Psi).
     """
-    assert_positive(psi, "Psi", cond_max)
+    assert_positive(psi, "Psi")
     det_psi = np.real(det3(psi))
     return adjugate3(psi) / np.sqrt(det_psi)[..., None, None]
 
@@ -152,15 +154,16 @@ def psi_from_omega(omega, abs_omega):
     return np.asarray(nrm)[..., None, None] * adjugate3(omega)
 
 
-def omega_from_psi(psi, abs_omega, cond_max=COND_MAX):
+def omega_from_psi(psi, abs_omega):
     """Invert psi_from_omega: returns (omega, ||Omega||_omega).
 
     omega = (det Psi / |Omega|^2) Psi^{-1} = adj(Psi) / |Omega|^2 and
     ||Omega||_omega = |Omega|^4 / det Psi.
     """
-    assert_positive(psi, "Psi", cond_max)
+    assert_positive(psi, "Psi")
     det_psi = np.real(det3(psi))
-    omega = adjugate3(psi) / abs_omega**2
+    omega = adjugate3(psi)
+    omega /= np.asarray(abs_omega**2)[..., None, None]  # in place: no second grid-sized array
     nrm = abs_omega**4 / det_psi
     return omega, nrm
 
@@ -214,13 +217,13 @@ def variation_consistency(omega, abs_omega, dpsi, h):
     """Finite-difference check of delta omega = tilde_star(delta Psi).
 
     Returns the Frobenius norm of (omega(Psi + h dPsi) - omega(Psi))/h -
-    tilde_star(dPsi); O(h) as h -> 0.  Raises PositivityError if Psi + h dPsi
-    leaves the positive cone.
+    tilde_star(dPsi) per matrix (a scalar for one matrix); O(h) as h -> 0.
+    Raises PositivityError if Psi + h dPsi leaves the positive cone.
     """
     psi = psi_from_omega(omega, abs_omega)
     base, _ = omega_from_psi(psi, abs_omega)
     bumped, _ = omega_from_psi(psi + h * dpsi, abs_omega)
     fd = (bumped - base) / h
     diff = fd - tilde_star(dpsi, omega, abs_omega)
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1))).max())
+    return np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1)))
 

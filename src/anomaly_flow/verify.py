@@ -3,6 +3,16 @@
 Each suite checks one pinned identity over seeded random draws and reports
 its worst residual against a fixed tolerance.  The CLI ``verify`` command
 runs all of them; the acceptance tests reuse individual suites.
+
+Draw order: suite k draws its trials one after another from the stream
+``np.random.default_rng([seed, k])``, each trial's inputs in a fixed order,
+and ``_draw`` stacks them.  Trial i of stream ``[seed, k]`` is therefore the
+same sample whether the suite evaluates it alone or on the stack.  The
+pointwise suites (float wedge square, top determinant, root roundtrip,
+psi/omega roundtrip, scaling covariance, the three star identities and both
+variation checks) call their ``pointwise`` functions once on the stack.
+Oracle ``MultiVector`` wedges and the ``linearize`` calls, which take one
+covector at a time, stay per trial.
 """
 
 from __future__ import annotations
@@ -26,6 +36,71 @@ class SuiteResult:
     detail: str = ""
 
 
+def _draw(seed, k, trials, sample):
+    """The inputs of `trials` trials, drawn one after another from stream [seed, k].
+
+    sample(rng) draws one trial's inputs and returns them as a tuple; the
+    result holds each input stacked along a new first axis (row i is trial i).
+    """
+    rng = np.random.default_rng([seed, k])
+    rows = [sample(rng) for _ in range(trials)]
+    return [np.stack(col) for col in zip(*rows)]
+
+
+def _result(name, trials, residuals, tol, ok=True, detail=""):
+    """Verdict on the worst of a suite's residuals (failure counts where tol is 0).
+
+    The suite passes when ok holds and the worst residual is below tol, or zero.
+    """
+    worst = float(np.max(residuals))
+    passed = bool(ok) and (worst < tol or worst == 0.0)
+    return SuiteResult(name, trials, worst, tol, passed, detail)
+
+
+def _rel(diff, ref):
+    """max|diff| / max|ref| per matrix (ref's scale floored at 1e-300)."""
+    scale = np.maximum(np.abs(ref).max(axis=(-2, -1)), 1e-300)
+    return np.abs(diff).max(axis=(-2, -1)) / scale
+
+
+def _metric(rng):
+    """A positive metric omega and |Omega| in [0.5, 1.5)."""
+    return sampling.random_positive(rng), 0.5 + rng.random()
+
+
+def _covector(rng):
+    """A complex covector xi, not normalized."""
+    return rng.standard_normal(3) + 1j * rng.standard_normal(3)
+
+
+def _form11(rng):
+    """An arbitrary complex 3x3 matrix: a (1,1)-form with no reality condition."""
+    return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+
+def _variation_point(rng):
+    """omega, |Omega| and a Hermitian dPsi."""
+    return *_metric(rng), sampling.random_hermitian(rng)
+
+
+def _symbol_point(rng):
+    """omega, |Omega|, a curvature of scale 0.5 for omega, alpha' in [0, 0.2) and xi."""
+    w, ab = _metric(rng)
+    r = sampling.random_curvature_for_metric(rng, w, 0.5)
+    return w, ab, r, 0.2 * rng.random(), _covector(rng)
+
+
+def _square(w):
+    """to_form22(w ^ w) through the oracle."""
+    mv = exterior.from_form11(w)
+    return exterior.to_form22(mv.wedge(mv))
+
+
+def _cube(w):
+    """Top coefficient of w ^ w ^ w through the oracle."""
+    return exterior.top_coefficient(exterior.wedge(*[exterior.from_form11(w)] * 3))
+
+
 def _xi_mv(xi):
     return exterior.MultiVector({(j,): xi[j] for j in range(3)})
 
@@ -47,173 +122,113 @@ def _rand_gaussian_rational_hermitian(rng):
     return m
 
 
-def _exact_adjugate(m):
-    out = [[None] * 3 for _ in range(3)]
-    idx = [(1, 2), (0, 2), (0, 1)]
-    for i in range(3):
-        for j in range(3):
-            r1, r2 = idx[j]
-            c1, c2 = idx[i]
-            minor = m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
-            out[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return out
-
-
 def suite_wedge_square_exact(seed, trials=50):
-    """to_form22(w ^ w) equals the adjugate of w, in exact arithmetic."""
-    rng = np.random.default_rng([seed, 1])
-    failures = 0
-    for _ in range(trials):
-        m = _rand_gaussian_rational_hermitian(rng)
-        mv = exterior.from_form11(m)
-        q = exterior.to_form22(mv.wedge(mv))
-        adj = _exact_adjugate(m)
-        if any(q[i, j] != adj[i][j] for i in range(3) for j in range(3)):
-            failures += 1
-    return SuiteResult(
-        "wedge-square adjugate (exact)", trials, float(failures), 0.0, failures == 0
-    )
+    """to_form22(w ^ w) equals pointwise.adjugate3(w), in exact arithmetic."""
+    (ms,) = _draw(seed, 1, trials, lambda rng: (_rand_gaussian_rational_hermitian(rng),))
+    adj = pointwise.adjugate3(ms)  # object arrays of GaussianRationals
+    failures = sum(bool(np.any(_square(m) != a)) for m, a in zip(ms, adj))
+    return _result("wedge-square adjugate (exact)", trials, failures, 0.0)
 
 
 def suite_wedge_square_float(seed, trials=100):
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        mv = exterior.from_form11(w)
-        q = exterior.to_form22(mv.wedge(mv))
-        adj = pointwise.adjugate3(w)
-        worst = max(worst, np.abs(q - adj).max() / np.abs(adj).max())
-    return SuiteResult("wedge-square adjugate (float)", trials, worst, 1e-12, worst < 1e-12)
+    (ws,) = _draw(seed, 2, trials, lambda rng: (sampling.random_positive(rng),))
+    adj = pointwise.adjugate3(ws)
+    q = np.stack([_square(w) for w in ws])
+    return _result("wedge-square adjugate (float)", trials, _rel(q - adj, adj), 1e-12)
 
 
 def suite_top_determinant(seed, trials=100):
-    rng = np.random.default_rng([seed, 3])
-    worst = 0.0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        mv = exterior.from_form11(w)
-        top = exterior.top_coefficient(exterior.wedge(mv, mv, mv))
-        det = pointwise.det3(w)
-        worst = max(worst, abs(top - 6.0 * det) / abs(6.0 * det))
-    return SuiteResult("top form = 3! det", trials, worst, 1e-12, worst < 1e-12)
+    (ws,) = _draw(seed, 3, trials, lambda rng: (sampling.random_positive(rng),))
+    det6 = 6.0 * pointwise.det3(ws)
+    top = np.array([_cube(w) for w in ws])
+    return _result("top form = 3! det", trials, np.abs(top - det6) / np.abs(det6), 1e-12)
 
 
 def suite_form22_roundtrip(seed, trials=100):
-    rng = np.random.default_rng([seed, 4])
-    worst = 0.0
+    (qs,) = _draw(seed, 4, trials, lambda rng: (sampling.random_hermitian(rng),))
+    back = []
     ok = True
-    for _ in range(trials):
-        q = sampling.random_hermitian(rng)
-        back = exterior.to_form22(exterior.from_form22(q))
-        worst = max(worst, np.abs(back - q).max() / max(np.abs(q).max(), 1e-300))
+    for q in qs:
         mv = exterior.from_form22(q)
+        back.append(exterior.to_form22(mv))
         ok = ok and mv.conjugate().max_abs_diff(mv) < 1e-12
-        nh = q + 0.5j * np.eye(3)  # non-Hermitian: form must not be real
-        mv_nh = exterior.from_form22(nh)
+        mv_nh = exterior.from_form22(q + 0.5j * np.eye(3))  # non-Hermitian: form must not be real
         ok = ok and mv_nh.conjugate().max_abs_diff(mv_nh) > 1e-3
-    return SuiteResult(
-        "(2,2) roundtrip & reality", trials, worst, 1e-12, ok and worst < 1e-12
-    )
+    return _result("(2,2) roundtrip & reality", trials, _rel(np.stack(back) - qs, qs), 1e-12, ok)
 
 
 def suite_root_roundtrip(seed, trials=1000):
     """root22 output squares back to Psi (checked through the oracle wedge)."""
-    rng = np.random.default_rng([seed, 5])
-    worst = 0.0
-    for _ in range(trials):
-        psi = sampling.random_positive(rng)
-        w = pointwise.root22(psi)
-        mv = exterior.from_form11(w)
-        q = exterior.to_form22(mv.wedge(mv))
-        worst = max(worst, np.abs(q - psi).max() / np.abs(psi).max())
-        if pointwise.hermitian_residual(w) > 1e-12 or pointwise.herm3_min_eig(w) <= 0:
-            worst = max(worst, 1.0)
-    return SuiteResult("(2,2)-root roundtrip (oracle)", trials, worst, 1e-10, worst < 1e-10)
+    (psis,) = _draw(seed, 5, trials, lambda rng: (sampling.random_positive(rng),))
+    ws = pointwise.root22(psis)
+    res = _rel(np.stack([_square(w) for w in ws]) - psis, psis)
+    bad = np.array([pointwise.hermitian_residual(w) > 1e-12 for w in ws])
+    bad |= pointwise.herm3_min_eig(ws) <= 0
+    return _result("(2,2)-root roundtrip (oracle)", trials, np.maximum(res, bad), 1e-10)
 
 
 def suite_psi_omega_roundtrip(seed, trials=1000):
+    # one |Omega| for the whole stack, drawn after the trials
     rng = np.random.default_rng([seed, 6])
     psis = np.stack([sampling.random_positive(rng) for _ in range(trials)])
     ab = 0.5 + rng.random()
     omegas, _ = pointwise.omega_from_psi(psis, ab)
     back = pointwise.psi_from_omega(omegas, ab)
-    num = np.abs(back - psis).max(axis=(-2, -1))
-    den = np.abs(psis).max(axis=(-2, -1))
-    worst = float((num / den).max())
-    return SuiteResult("psi/omega roundtrip", trials, worst, 1e-10, worst < 1e-10)
+    return _result("psi/omega roundtrip", trials, _rel(back - psis, psis), 1e-10)
 
 
 def suite_scaling_covariance(seed, trials=100):
-    rng = np.random.default_rng([seed, 7])
-    worst = 0.0
-    for _ in range(trials):
+    def sample(rng):
         psi = sampling.random_positive(rng)
-        lam = 0.5 + 2.0 * rng.random()
-        r1 = pointwise.root22(lam**2 * psi)
-        r2 = lam * pointwise.root22(psi)
-        worst = max(worst, np.abs(r1 - r2).max() / np.abs(r2).max())
-        ab = 0.5 + rng.random()
-        o1, _ = pointwise.omega_from_psi(lam * psi, ab)
-        o2, _ = pointwise.omega_from_psi(psi, ab)
-        worst = max(worst, np.abs(o1 - lam**2 * o2).max() / np.abs(o1).max())
-    return SuiteResult("scaling covariance", trials, worst, 1e-10, worst < 1e-10)
+        return psi, 0.5 + 2.0 * rng.random(), 0.5 + rng.random()
+
+    psis, lams, abs_ = _draw(seed, 7, trials, sample)
+    lam = lams[:, None, None]
+    r2 = lam * pointwise.root22(psis)
+    roots = _rel(pointwise.root22(lam**2 * psis) - r2, r2)
+    o1, _ = pointwise.omega_from_psi(lam * psis, abs_)
+    o2, _ = pointwise.omega_from_psi(psis, abs_)
+    omegas = _rel(o1 - lam**2 * o2, o1)
+    return _result("scaling covariance", trials, np.maximum(roots, omegas), 1e-10)
 
 
 def suite_star_defining_identity(seed, trials=100):
     """phi ^ Psi = (<phi, star Psi>/3!) w^3 for arbitrary (1,1)-forms phi."""
-    rng = np.random.default_rng([seed, 8])
-    worst = 0.0
-    for _ in range(trials):
-        wt = sampling.random_positive(rng)
-        psi = sampling.random_hermitian(rng)
-        phi = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        star = pointwise.hodge_star22(psi, wt)
+    def sample(rng):
+        return sampling.random_positive(rng), sampling.random_hermitian(rng), _form11(rng)
+
+    wts, psis, phis = _draw(seed, 8, trials, sample)
+    pairs = pointwise.inner11(phis, pointwise.hodge_star22(psis, wts), wts)
+    res = []
+    for wt, psi, phi, pair in zip(wts, psis, phis, pairs):
         lhs = exterior.top_coefficient(exterior.from_form11(phi).wedge(exterior.from_form22(psi)))
-        w3 = exterior.top_coefficient(exterior.wedge(*[exterior.from_form11(wt)] * 3))
-        rhs = pointwise.inner11(phi, star, wt) / 6.0 * w3
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    return SuiteResult("star defining identity (oracle)", trials, worst, 1e-12, worst < 1e-12)
+        rhs = pair / 6.0 * _cube(wt)
+        res.append(abs(lhs - rhs) / max(abs(rhs), 1.0))
+    return _result("star defining identity (oracle)", trials, res, 1e-12)
 
 
 def suite_star_normalized_square(seed, trials=200):
-    rng = np.random.default_rng([seed, 9])
-    worst = 0.0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        psi = pointwise.psi_from_omega(w, ab)
-        nrm = pointwise.norm_omega(w, ab)
-        diff = pointwise.hodge_star22(psi, w) - 2.0 * nrm * w
-        worst = max(worst, np.abs(diff).max() / np.abs(2.0 * nrm * w).max())
-    return SuiteResult("star of normalized square", trials, worst, 1e-12, worst < 1e-12)
+    ws, abs_ = _draw(seed, 9, trials, _metric)
+    psi = pointwise.psi_from_omega(ws, abs_)
+    two_nrm_w = (2.0 * pointwise.norm_omega(ws, abs_))[:, None, None] * ws
+    diff = pointwise.hodge_star22(psi, ws) - two_nrm_w
+    return _result("star of normalized square", trials, _rel(diff, two_nrm_w), 1e-12)
 
 
 def suite_tilde_star_trace(seed, trials=100):
-    rng = np.random.default_rng([seed, 10])
-    worst = 0.0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        dpsi = sampling.random_hermitian(rng)
-        nrm = pointwise.norm_omega(w, ab)
-        lhs = pointwise.inner11(pointwise.tilde_star(dpsi, w, ab), w, w)
-        rhs = pointwise.inner11(pointwise.hodge_star22(dpsi, w), w, w) / nrm
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    return SuiteResult("modified-star trace identity", trials, worst, 1e-12, worst < 1e-12)
+    ws, abs_, dpsis = _draw(seed, 10, trials, _variation_point)
+    nrm = pointwise.norm_omega(ws, abs_)
+    lhs = pointwise.inner11(pointwise.tilde_star(dpsis, ws, abs_), ws, ws)
+    rhs = pointwise.inner11(pointwise.hodge_star22(dpsis, ws), ws, ws) / nrm
+    res = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)
+    return _result("modified-star trace identity", trials, res, 1e-12)
 
 
 def suite_variation_algebraic(seed, trials=100):
-    rng = np.random.default_rng([seed, 11])
-    worst = 0.0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        dpsi = sampling.random_hermitian(rng)
-        a = pointwise.variation_index_form(dpsi, w, ab)
-        b = pointwise.tilde_star(dpsi, w, ab)
-        worst = max(worst, np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
-    return SuiteResult("variation index form = modified star", trials, worst, 1e-12, worst < 1e-12)
+    ws, abs_, dpsis = _draw(seed, 11, trials, _variation_point)
+    a = pointwise.variation_index_form(dpsis, ws, abs_)
+    b = pointwise.tilde_star(dpsis, ws, abs_)
+    return _result("variation index form = modified star", trials, _rel(a - b, b), 1e-12)
 
 
 def suite_variation_fd(seed, trials=100, h=1e-5):
@@ -222,26 +237,16 @@ def suite_variation_fd(seed, trials=100, h=1e-5):
     Perturbations are normalized to unit Frobenius norm; the 1e-4 tolerance
     at h = 1e-5 pins the first-order constant at that scale.
     """
-    rng = np.random.default_rng([seed, 12])
-    worst, worst_ratio = 0.0, 0.0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        dpsi = sampling.random_hermitian(rng)
-        dpsi = dpsi / np.linalg.norm(dpsi)
-        r1 = pointwise.variation_consistency(w, ab, dpsi, h)
-        r2 = pointwise.variation_consistency(w, ab, dpsi, h / 2)
-        worst = max(worst, r1)
-        worst_ratio = max(worst_ratio, r2 / max(r1, 1e-300))
-    passed = worst < 1e-4 and worst_ratio < 0.6
-    return SuiteResult(
-        "variation finite difference O(h)",
-        trials,
-        worst,
-        1e-4,
-        passed,
-        detail=f"worst halving ratio {worst_ratio:.3f}",
-    )
+    def sample(rng):
+        w, ab, dpsi = _variation_point(rng)
+        return w, ab, dpsi / np.linalg.norm(dpsi)
+
+    ws, abs_, dpsis = _draw(seed, 12, trials, sample)
+    r1 = pointwise.variation_consistency(ws, abs_, dpsis, h)
+    r2 = pointwise.variation_consistency(ws, abs_, dpsis, h / 2)
+    ratio = float((r2 / np.maximum(r1, 1e-300)).max())
+    return _result("variation finite difference O(h)", trials, r1, 1e-4, ratio < 0.6,
+                   detail=f"worst halving ratio {ratio:.3f}")
 
 
 def suite_kernel_identity(seed, trials=200):
@@ -250,83 +255,62 @@ def suite_kernel_identity(seed, trials=200):
     Computed entirely through the oracle wedge, independent of the symbol
     code path; also pins kernel dimension = 4.
     """
-    rng = np.random.default_rng([seed, 13])
-    worst = 0.0
+    def sample(rng):
+        return *_metric(rng), _covector(rng), rng.standard_normal(4)
+
+    res = []
     dims_ok = True
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    for w, ab, xi, coeff in zip(*_draw(seed, 13, trials, sample)):
         basis = linearize.d_symbol_kernel(xi)
         dims_ok = dims_ok and len(basis) == 4
-        coeff = rng.standard_normal(4)
         dpsi = sum(c * b for c, b in zip(coeff, basis))
         ts = pointwise.tilde_star(dpsi, w, ab)
         lhs = exterior.to_form22(
             exterior.wedge(1j * _xi_mv(xi), _xibar_mv(xi), exterior.from_form11(ts))
         )
         lam = linearize.xi_norm_sq(xi, w) / (2.0 * pointwise.norm_omega(w, ab))
-        scale = max(np.abs(lam * dpsi).max(), 1e-300)
-        worst = max(worst, np.abs(lhs - lam * dpsi).max() / scale)
-    return SuiteResult(
-        "kernel identity (oracle)", trials, worst, 1e-10, worst < 1e-10 and dims_ok
-    )
+        res.append(_rel(lhs - lam * dpsi, lam * dpsi))
+    return _result("kernel identity (oracle)", trials, res, 1e-10, dims_ok)
 
 
 def suite_symbol_scalar_at_zero_coupling(seed, trials=100):
-    rng = np.random.default_rng([seed, 14])
-    worst = 0.0
     rzero = np.zeros((3, 3, 3, 3))
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    res, bad = [], []
+    for w, ab, xi in zip(*_draw(seed, 14, trials, lambda rng: (*_metric(rng), _covector(rng)))):
         rep = linearize.restricted_symbol(xi, w, ab, rzero, 0.0)
         lam = linearize.xi_norm_sq(xi, w) / (2.0 * pointwise.norm_omega(w, ab))
-        worst = max(worst, np.abs(rep.eigenvalues - lam).max() / lam)
-        if not rep.elliptic:
-            worst = max(worst, 1.0)
-    return SuiteResult("symbol scalar at zero coupling", trials, worst, 1e-10, worst < 1e-10)
+        res.append(np.abs(rep.eigenvalues - lam).max() / lam)
+        bad.append(not rep.elliptic)
+    return _result("symbol scalar at zero coupling", trials, np.maximum(res, bad), 1e-10)
 
 
 def suite_curvature_bound_sufficiency(seed, trials=500):
     """Whenever the curvature perturbation norm is below |xi|^2, the verdict is elliptic."""
-    rng = np.random.default_rng([seed, 15])
+    def sample(rng):
+        w, ab = _metric(rng)
+        r = sampling.random_curvature_for_metric(rng, w, scale=2.0 * rng.random())
+        return w, ab, r, 0.4 * rng.random(), _covector(rng)
+
     counterexamples = 0
     checked = 0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        r = sampling.random_curvature_for_metric(rng, w, scale=2.0 * rng.random())
-        alpha = 0.4 * rng.random()
-        xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    for w, ab, r, alpha, xi in zip(*_draw(seed, 15, trials, sample)):
         norm = linearize.proposition_norm(xi, w, ab, r, alpha)
         if norm < linearize.xi_norm_sq(xi, w):
             checked += 1
             rep = linearize.restricted_symbol(xi, w, ab, r, alpha)
             if not rep.elliptic:
                 counterexamples += 1
-    return SuiteResult(
-        "curvature-bound sufficiency",
-        trials,
-        float(counterexamples),
-        0.0,
-        counterexamples == 0,
-        detail=f"{checked} draws below the bound",
-    )
+    return _result("curvature-bound sufficiency", trials, counterexamples, 0.0,
+                   detail=f"{checked} draws below the bound")
 
 
 def suite_rotation_covariance(seed, trials=50):
     """Symbol eigenvalues are invariant under a simultaneous unitary frame change."""
-    rng = np.random.default_rng([seed, 16])
-    worst = 0.0
-    for _ in range(trials):
-        w = sampling.random_positive(rng)
-        ab = 0.5 + rng.random()
-        r = sampling.random_curvature_for_metric(rng, w, 0.5)
-        alpha = 0.2 * rng.random()
-        xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    def sample(rng):
+        return *_symbol_point(rng), _form11(rng)
+
+    res = []
+    for w, ab, r, alpha, xi, a in zip(*_draw(seed, 16, trials, sample)):
         u, _ = np.linalg.qr(a)
         # coordinates z = U z': metric U^H w U, covector U^T xi, frame change U^H
         w2 = u.conj().T @ w @ u
@@ -334,57 +318,54 @@ def suite_rotation_covariance(seed, trials=50):
         r2 = sampling.transport_curvature(r, u.conj().T)
         e1 = np.sort_complex(linearize.restricted_symbol(xi, w, ab, r, alpha).eigenvalues)
         e2 = np.sort_complex(linearize.restricted_symbol(xi2, w2, ab, r2, alpha).eigenvalues)
-        worst = max(worst, np.abs(e1 - e2).max() / max(np.abs(e1).max(), 1e-300))
-    return SuiteResult("rotation covariance", trials, worst, 1e-8, worst < 1e-8)
+        res.append(np.abs(e1 - e2).max() / max(np.abs(e1).max(), 1e-300))
+    return _result("rotation covariance", trials, res, 1e-8)
 
 
 def suite_wedge_extract_constraint(seed, trials=200):
-    rng = np.random.default_rng([seed, 17])
-    worst = 0.0
-    for _ in range(trials):
-        xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        phi = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    res = []
+    for xi, phi in zip(*_draw(seed, 17, trials, lambda rng: (_covector(rng), _form11(rng)))):
         out = linearize.wedge_xi_extract(xi, phi)
-        res = np.abs(out @ np.conj(xi)).max()
-        worst = max(worst, res / max(np.abs(out).max(), 1e-300))
-    return SuiteResult("wedge-extract kernel consistency", trials, worst, 1e-12, worst < 1e-12)
+        res.append(np.abs(out @ np.conj(xi)).max() / max(np.abs(out).max(), 1e-300))
+    return _result("wedge-extract kernel consistency", trials, res, 1e-12)
 
 
 def suite_coupled_block_spectrum(seed, trials=30):
     """Coupled spectrum = restricted spectrum + |xi|^2 with multiplicity r^2."""
-    rng = np.random.default_rng([seed, 18])
-    worst = 0.0
-    for _ in range(trials):
+    def sample(rng):  # one point for each bundle rank 1, 2, 3, in that order
+        point = ()
         for rank in (1, 2, 3):
-            w = sampling.random_positive(rng)
-            ab = 0.5 + rng.random()
-            r = sampling.random_curvature_for_metric(rng, w, 0.5)
-            alpha = 0.2 * rng.random()
-            xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            w, ab, r, alpha, xi = _symbol_point(rng)
             h = sampling.random_positive_endo(rng, rank)
-            f = sampling.random_endcurv(rng, h)
+            point += (w, ab, r, alpha, xi, h, sampling.random_endcurv(rng, h))
+        return point
+
+    cols = _draw(seed, 18, trials, sample)
+    res = []
+    for i in range(0, len(cols), 7):  # the columns of rank 1, then 2, then 3
+        for w, ab, r, alpha, xi, h, f in zip(*cols[i:i + 7]):
             mat = linearize.coupled_symbol_matrix(xi, w, ab, r, alpha, f, h)
             got = np.sort_complex(np.linalg.eigvals(mat))
             rep = linearize.restricted_symbol(xi, w, ab, r, alpha)
             expect = np.sort_complex(
-                np.concatenate(
-                    [rep.eigenvalues, [linearize.xi_norm_sq(xi, w)] * rank**2]
-                )
+                np.concatenate([rep.eigenvalues, [linearize.xi_norm_sq(xi, w)] * len(h) ** 2])
             )
-            scale = max(np.abs(expect).max(), 1e-300)
-            worst = max(worst, np.abs(got - expect).max() / scale)
-    return SuiteResult("coupled block spectrum", trials * 3, worst, 1e-10, worst < 1e-10)
+            res.append(np.abs(got - expect).max() / max(np.abs(expect).max(), 1e-300))
+    return _result("coupled block spectrum", trials * 3, res, 1e-10)
+
+
+def _adversarial_verdict(strength=5.0, abs_omega=1.0):
+    """The elliptic verdict at coupling alpha' of the adversarial fixture: omega = I, xi = e1
+    and sampling.trace_curvature(strength)."""
+    r = sampling.trace_curvature(strength)
+    w = np.eye(3, dtype=complex)
+    xi = np.array([1.0, 0.0, 0.0])
+    return lambda alpha: linearize.restricted_symbol(xi, w, abs_omega, r, alpha).elliptic
 
 
 def bisect_adversarial_threshold(strength=5.0, hi=0.1, tol=1e-3, abs_omega=1.0):
     """Bracket the coupling where the adversarial fixture loses ellipticity."""
-    r = sampling.trace_curvature(strength)
-    w = np.eye(3, dtype=complex)
-    xi = np.array([1.0, 0.0, 0.0])
-
-    def elliptic(alpha):
-        return linearize.restricted_symbol(xi, w, abs_omega, r, alpha).elliptic
-
+    elliptic = _adversarial_verdict(strength, abs_omega)
     lo_a, hi_a = 0.0, hi
     if elliptic(hi_a):
         raise ValueError("adversarial fixture did not flip at the upper coupling")
@@ -399,22 +380,9 @@ def bisect_adversarial_threshold(strength=5.0, hi=0.1, tol=1e-3, abs_omega=1.0):
 
 def suite_adversarial_flip(seed, trials=1):
     lo, hi = bisect_adversarial_threshold()
-    r = sampling.trace_curvature(5.0)
-    w = np.eye(3, dtype=complex)
-    xi = np.array([1.0, 0.0, 0.0])
-    ok = (
-        linearize.restricted_symbol(xi, w, 1.0, r, lo).elliptic
-        and not linearize.restricted_symbol(xi, w, 1.0, r, hi).elliptic
-        and hi - lo <= 1e-3
-    )
-    return SuiteResult(
-        "adversarial verdict flip",
-        trials,
-        hi - lo,
-        1e-3,
-        ok,
-        detail=f"threshold in [{lo:.6f}, {hi:.6f}]",
-    )
+    elliptic = _adversarial_verdict()
+    return _result("adversarial verdict flip", trials, hi - lo, 1e-3,
+                   elliptic(lo) and not elliptic(hi), detail=f"threshold in [{lo:.6f}, {hi:.6f}]")
 
 
 ALL_SUITES = [

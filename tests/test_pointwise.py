@@ -215,6 +215,28 @@ def test_batched_inputs():
     assert np.abs(back - psis).max() < 1e-10
 
 
+def test_per_slice_abs_omega_matches_per_slice_calls():
+    # one |Omega| per matrix of a 3-stack broadcasts over the leading axis
+    rng = np.random.default_rng(7)
+    ws = np.stack([random_positive(rng) for _ in range(3)])
+    psis = np.stack([random_positive(rng) for _ in range(3)])
+    dpsis = np.stack([random_hermitian(rng) for _ in range(3)])
+    ab = np.array([0.6, 1.1, 1.45])
+
+    def close(stacked, single):
+        for got, want in zip(stacked, single):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    omegas, nrms = pw.omega_from_psi(psis, ab)
+    close(omegas, [pw.omega_from_psi(p, a)[0] for p, a in zip(psis, ab)])
+    close(nrms, [pw.omega_from_psi(p, a)[1] for p, a in zip(psis, ab)])
+    close(pw.psi_from_omega(ws, ab), [pw.psi_from_omega(w, a) for w, a in zip(ws, ab)])
+    close(pw.tilde_star(dpsis, ws, ab), [pw.tilde_star(d, w, a) for d, w, a in zip(dpsis, ws, ab)])
+    got = pw.variation_consistency(ws, ab, dpsis, 1e-5)
+    assert got.shape == (3,)
+    close(got, [pw.variation_consistency(w, a, d, 1e-5) for w, a, d in zip(ws, ab, dpsis)])
+
+
 def test_hermitize_keeps_component_first_memory():
     # the torus state at c = 2, N = 8; numpy's own choice of output order depends on size
     shape = (3, 3) + gr.PeriodicGrid(2, 8).shape
