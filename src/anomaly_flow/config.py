@@ -5,6 +5,10 @@ Scalar data (f, mu, u0) is specified as ``{"constant": x}`` and/or
 contributes ``2 Re(A exp(i 2 pi k.x / L))`` so the materialized field is
 real.  Mode vectors must stay below the dealiasing cutoff N//3.  Complex
 scalars are written as ``[re, im]`` pairs throughout.
+
+On the grid x_a = j_a L / N the phase 2 pi k_a x_a / L is 2 pi (k_a j_a mod N) / N:
+L cancels and each axis's phase is reduced mod N, so a mode is an outer
+product of per-axis vectors read from one table of exp(2 pi i m / N).
 """
 
 from __future__ import annotations
@@ -77,8 +81,10 @@ def materialize_scalar(grid: PeriodicGrid, spec, name="field") -> np.ndarray:
         return float(spec) * np.ones(grid.shape)
     if not isinstance(spec, dict):
         raise ConfigError(f"{name}: expected a number or an object, got {type(spec)}")
-    out = float(spec.get("constant", 0.0)) * np.ones(grid.shape)
-    xs = grid.coords()
+    out = np.full(grid.shape, float(spec.get("constant", 0.0)))
+    n = grid.points_per_dim
+    j = np.arange(n)
+    table = np.exp(1j * (TWO_PI / n) * j)
     for mode in spec.get("modes", []):
         if not isinstance(mode, dict):
             raise ConfigError(f"{name}: each mode must be an object, got {mode!r}")
@@ -91,8 +97,10 @@ def materialize_scalar(grid: PeriodicGrid, spec, name="field") -> np.ndarray:
                 f"{name}: mode {k} exceeds the dealiasing cutoff {grid.dealias_kmax}"
             )
         a = complex(amp[0], amp[1]) if isinstance(amp, (list, tuple)) else complex(amp)
-        arg = sum(TWO_PI / grid.period * int(ki) * x for ki, x in zip(k, xs))
-        out = out + 2.0 * np.real(a * np.exp(1j * arg))
+        wave = np.asarray(a)
+        for ki in k:
+            wave = np.multiply.outer(wave, table[int(ki) * j % n])
+        out += 2.0 * wave.real
     return out
 
 

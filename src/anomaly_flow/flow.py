@@ -46,7 +46,6 @@ from .errors import PositivityError
 from .grid import (
     PeriodicGrid,
     _wedge_terms,
-    assert_positive_field,
     along_axis,
     band_forward,
     band_inverse,
@@ -359,7 +358,6 @@ class TorusProblem:
             raise ValueError(
                 f"Phi_0 has content above N//3 = {self.grid.dealias_kmax} (residual {tail:.3e})"
             )
-        assert_positive_field(self.omega0, "omega0")
         self.psi0 = hermitize(psi_from_omega(self.omega0, self.abs_omega))
         res = d_residual_22(self.grid, self.psi0)
         if res >= MONITOR_TOL_CLOSED:
@@ -492,7 +490,6 @@ def make_balanced_omega0(
     base = psi_from_omega(base_scale * np.eye(3, dtype=complex), abs_omega)
     psi0 = np.broadcast_to(base, grid.shape + (3, 3)).copy()
     psi0 += hermitize(iddbar)
-    assert_positive_field(psi0, "constructed Psi0")
     omega0, _ = omega_from_psi(psi0, abs_omega)
     return omega0
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import exterior
 from .errors import PositivityError
@@ -121,12 +120,23 @@ def _bcast(sym: np.ndarray, f_ndim: int, grid: PeriodicGrid) -> np.ndarray:
 
 
 def forward(grid: PeriodicGrid, f: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return sfft.fftn(f, axes=grid.axes, overwrite_x=overwrite)
+    """Full-grid FFT over the grid axes (scipy.fft).
+
+    scipy.fft is imported on the first call, not with the module: only
+    d_residual_22 and a grid-valued chern_curvature transform full grids,
+    so the Fu-Yau flow, verify and symbol never load it.  Both functions go
+    once these two work on band coefficients (ROADMAP item 1).
+    """
+    import scipy.fft
+
+    return scipy.fft.fftn(f, axes=grid.axes, overwrite_x=overwrite)
 
 
 def inverse(grid: PeriodicGrid, fhat: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Inverse transform; overwrite=True may consume fhat (pass only scratch)."""
-    return sfft.ifftn(fhat, axes=grid.axes, overwrite_x=overwrite)
+    """Inverse of forward, imported the same way; overwrite=True may consume fhat (pass only scratch)."""
+    import scipy.fft
+
+    return scipy.fft.ifftn(fhat, axes=grid.axes, overwrite_x=overwrite)
 
 
 def along_axis(mat: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:

@@ -97,10 +97,13 @@ def herm3_min_eig(m):
 
 
 def hermitian_residual(m) -> float:
-    scale = np.abs(m).max()
-    if scale == 0:
+    """max|m - m^H| / max|m| per matrix, worst over the stack (0 for a zero matrix)."""
+    diff = np.abs(m - np.conj(np.swapaxes(m, -1, -2)))
+    if not diff.any():  # exactly Hermitian, as hermitize leaves it: no scales needed
         return 0.0
-    return float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max() / scale)
+    # a zero matrix has a zero diff, and the floor leaves every nonzero scale as it is
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True), np.finfo(float).smallest_subnormal)
+    return float((diff / scale).max())
 
 
 def assert_hermitian(m, name="matrix"):

@@ -162,8 +162,7 @@ def suite_root_roundtrip(seed, trials=1000):
     (psis,) = _draw(seed, 5, trials, lambda rng: (sampling.random_positive(rng),))
     ws = pointwise.root22(psis)
     res = _rel(np.stack([_square(w) for w in ws]) - psis, psis)
-    bad = np.array([pointwise.hermitian_residual(w) > 1e-12 for w in ws])
-    bad |= pointwise.herm3_min_eig(ws) <= 0
+    bad = (pointwise.hermitian_residual(ws) > 1e-12) | (pointwise.herm3_min_eig(ws) <= 0)
     return _result("(2,2)-root roundtrip (oracle)", trials, np.maximum(res, bad), 1e-10)
 
 

@@ -45,6 +45,29 @@ def test_materialize_scalar_modes_and_band_limit():
         cfgmod.materialize_scalar(g, {"modes": [{"k": [1], "amplitude": [1, 0]}]})
 
 
+def test_materialize_scalar_matches_exp_reference():
+    # per-axis phases reduced mod N against exp(i k.x) on L != 2 pi, negative k and |k| = N//3;
+    # the reference runs in extended precision: a float64 k.x reaches 2 pi (N//3) 2c, where
+    # its rounding alone is near 1e-14
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    for g in (PeriodicGrid(1, 16, 3.7), PeriodicGrid(2, 8, 1.3)):
+        m, n, naxes = g.dealias_kmax, g.points_per_dim, 2 * g.complex_dims
+        x = np.arange(n, dtype=np.longdouble) * (g.period / n)
+        xs = [x.reshape((1,) * a + (n,) + (1,) * (naxes - a - 1)) for a in range(naxes)]
+        modes = [([m] + [-1] * (naxes - 1), (0.7, -0.4)), ([-m] * naxes, (-1.1, 0.25)),
+                 ([0] * (naxes - 1) + [m - 1], (0.5, 2.0))]
+        for k, amp in modes:
+            a = complex(*amp)
+            f = cfgmod.materialize_scalar(g, {"modes": [{"k": k, "amplitude": list(amp)}]})
+            ref = 2.0 * np.real(a * np.exp(1j * sum(two_pi / g.period * ki * x for ki, x in zip(k, xs))))
+            assert np.abs(f - ref).max() <= 1e-14 * abs(a)
+        spec = {"constant": 0.3, "modes": [{"k": k, "amplitude": list(amp)} for k, amp in modes]}
+        origin = 0.3
+        for _, amp in modes:
+            origin += 2.0 * amp[0]
+        assert cfgmod.materialize_scalar(g, spec).flat[0] == origin
+
+
 def test_snapshot_roundtrip_exact(tmp_path):
     g = PeriodicGrid(1, 16)
     rng = np.random.default_rng(0)
@@ -237,10 +260,27 @@ def test_run_symbol_one_sweep_call_per_direction(tmp_path, monkeypatch):
     ]
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats is most of the import time; only the covector sampler loads it
+def test_cli_import_verify_and_fuyau_skip_scipy(tmp_path):
+    # scipy loads only where it is used: the covector sampler and the full-grid FFTs
     src = os.path.dirname(os.path.dirname(anomaly_flow.__file__))
-    code = "import sys, anomaly_flow.cli; print('scipy.stats' in sys.modules)"
+    verify_cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "seed": 3, "output": {"dir": str(tmp_path / "v")}})
+    fuyau_cfg = write_cfg(tmp_path / "f.json", {
+        "command": "flow-fuyau",
+        "grid": {"complex_dims": 2, "points_per_dim": 8},
+        "time": {"t_final": 0.05},
+        "output": {"dir": str(tmp_path / "f"), "snapshot_interval": 1},
+        "fuyau": {"alpha_prime": 0.02, "f": {"constant": 0.5},
+                  "u0": {"modes": [{"k": [1, 0, -2, 1], "amplitude": [0.01, 0.02]}]}},
+    })
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import anomaly_flow.cli as cli\n"
+        "print('after import', scipy_modules())\n"
+        f"print('after verify', cli.main(['verify', '--config', {verify_cfg!r}]), scipy_modules())\n"
+        f"print('after flow-fuyau', cli.main(['flow-fuyau', '--config', {fuyau_cfg!r}]), scipy_modules())\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -248,7 +288,8 @@ def test_cli_import_skips_scipy_stats():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    stages = [line for line in out.stdout.splitlines() if line.startswith("after ")]
+    assert stages == ["after import []", "after verify 0 []", "after flow-fuyau 0 []"]
 
 
 def test_cli_fuyau_trivial_and_determinism(tmp_path):

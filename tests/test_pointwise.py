@@ -46,6 +46,21 @@ def test_root22_rejects_ill_conditioned():
         pw.root22(np.diag([1e13, 1.0, 1.0]).astype(complex))
 
 
+def test_hermitian_residual_is_per_slice():
+    # a small non-Hermitian matrix must not hide behind a large one in the same stack
+    b = 1e-3 * I3
+    b[0, 1] = 1e-5
+    with pytest.raises(PositivityError):
+        pw.assert_positive(b)
+    stack = np.stack([b, 1e6 * I3])
+    assert pw.hermitian_residual(stack) == pw.hermitian_residual(b) == pytest.approx(1e-2)
+    with pytest.raises(PositivityError):
+        pw.assert_positive(stack)
+    zero = np.zeros((3, 3), dtype=complex)
+    assert pw.hermitian_residual(zero) == 0.0
+    assert pw.hermitian_residual(np.stack([zero, b])) == pw.hermitian_residual(b)
+
+
 def test_norm_omega_values():
     assert pw.norm_omega(I3, 1.0) == pytest.approx(1.0)
     assert pw.norm_omega(4 * I3, 1.0) == pytest.approx(1.0 / 8.0)
