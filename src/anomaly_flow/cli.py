@@ -197,9 +197,7 @@ def run_flow_torus(cfg: cfgmod.RunConfig) -> int:
             )
         else:
             omega0 = flowmod.make_balanced_omega0(
-                grid, abs_omega, seed,
-                base_scale=float(spec.get("base_scale", 2.0)),
-                amplitude=amplitude, kmax=kmax,
+                grid, abs_omega, seed, amplitude=amplitude, kmax=kmax
             )
             phi0 = np.zeros(grid.shape + (3, 3), dtype=complex)
             prob = flowmod.TorusProblem(grid, alpha, abs_omega, phi0, omega0)

@@ -26,7 +26,15 @@ from .grid import TWO_PI, PeriodicGrid
 from .snapshot import KIND_CURV, KIND_HERM3, read_snapshot
 
 COMMANDS = ("verify", "symbol", "flow-fuyau", "flow-torus")
-SECTIONS = ("output", "grid", "time", "symbol", "fuyau", "torus")
+# section -> the keys the runners read; load_config rejects any other key
+SECTIONS = {
+    "output": ("dir", "snapshot_interval"),
+    "grid": ("complex_dims", "points_per_dim", "period"),
+    "time": ("t_final", "cfl", "dt_fixed", "dt_max", "dt_min"),
+    "symbol": ("omega", "curvature", "abs_omega", "alpha_list", "n_dirs"),
+    "fuyau": ("alpha_prime", "f", "mu", "u0"),
+    "torus": ("alpha_prime", "abs_omega", "fixture_seed", "amplitude", "kmax", "stationary"),
+}
 
 
 @dataclass
@@ -46,9 +54,13 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    for section in SECTIONS:
+    unknown = sorted(raw.keys() - {"command", "seed", *SECTIONS})
+    for section, keys in SECTIONS.items():
         if not isinstance(raw.get(section, {}), dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
+        unknown += sorted(f"{section}.{key}" for key in raw.get(section, {}).keys() - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
@@ -190,5 +202,4 @@ def parse_dt_control(spec) -> DtControl:
         dt_fixed=dt_fixed,
         dt_max=float(spec.get("dt_max", np.inf)),
         dt_min=float(spec.get("dt_min", 1e-12)),
-        margin_min=float(spec.get("margin_min", 0.0)),
     )

@@ -27,8 +27,9 @@ Tr(R ^ R) come from band transforms too.  Inside that pipeline 3x3 fields
 are stored component-first, (3, 3) + grid.shape, so every transform is a
 gemm along a contiguous grid axis and the pointwise algebra runs on
 grid_first views; the state, the snapshots and torus_rhs keep the
-grid.shape + (3, 3) layout.  Neither flow nor the balanced fixture takes a
-full-size transform (the balanced-residual monitor does).
+grid.shape + (3, 3) layout.  No flow, fixture or monitor takes a full-size
+transform: Phi_0, the initial Psi and every increment are band-limited, so
+the balanced-residual monitor (grid.d_residual_22) reads the state on the band.
 
 Degenerate events (loss of pointwise positivity, loss of the parabolicity
 margin, non-finite values) halt the run with a diagnostic snapshot instead
@@ -80,7 +81,6 @@ class DtControl:
     dt_fixed: float | None = None
     dt_max: float = math.inf
     dt_min: float = 1e-12
-    margin_min: float = 0.0
 
 
 @dataclass
@@ -302,7 +302,7 @@ def fu_yau_run(
 
     Monitors per step: conservation gap <e^u>(t) - <e^u>(0) - t <mu>, the
     parabolicity margin of the pre-step state, and the rhs norm.  Halts on
-    margin <= margin_min, on a collapsed time step, or on non-finite values.
+    margin <= 0, on a collapsed time step, or on non-finite values.
     The rate is kept as band coefficients: u + band_inverse(c*dt*khat) is
     exactly u + c*dt*k for the dealiased rhs k.
     """
@@ -317,7 +317,7 @@ def fu_yau_run(
         fields = _fields(prob, u, eu)
         lo, hi = _margin_bounds(prob, *fields)
         margin = float(lo.min())
-        if margin <= ctrl.margin_min:
+        if margin <= 0.0:
             return "parabolicity"
         dmax = float((fields[1] * hi).max())  # e^{-u} times the largest eigenvalue
         return dmax, {"parabolicity_margin": margin}, fields
@@ -348,20 +348,26 @@ class TorusProblem:
     def __post_init__(self):
         _check_number("alpha_p", self.alpha_p)
         _check_number("abs_omega", self.abs_omega, positive=True)
+        self.phi0_band = _band_coefficients(self.grid, self.phi0, "Phi_0")
         res = d_residual_22(self.grid, self.phi0)
         if res >= MONITOR_TOL_CLOSED:
             raise ValueError(f"Phi_0 is not closed (residual {res:.3e})")
-        phi0 = comp_first(np.asarray(self.phi0, dtype=complex))
-        self.phi0_band = band_forward(self.grid, phi0)
-        tail = np.abs(band_inverse(self.grid, self.phi0_band) - phi0).max()
-        if tail > BAND_RTOL * np.abs(phi0).max():
-            raise ValueError(
-                f"Phi_0 has content above N//3 = {self.grid.dealias_kmax} (residual {tail:.3e})"
-            )
         self.psi0 = hermitize(psi_from_omega(self.omega0, self.abs_omega))
+        _band_coefficients(self.grid, self.psi0, "the initial Psi")
         res = d_residual_22(self.grid, self.psi0)
         if res >= MONITOR_TOL_CLOSED:
             raise ValueError(f"initial state is not balanced (residual {res:.3e})")
+
+
+def _band_coefficients(g: PeriodicGrid, field: np.ndarray, name: str) -> np.ndarray:
+    """Band coefficients of a grid 3x3 field, component-first; ValueError naming it
+    if it has content above N//3, which the closedness check after it cannot see."""
+    f = comp_first(np.asarray(field, dtype=complex))
+    fhat = band_forward(g, f)
+    tail = np.abs(band_inverse(g, fhat) - f).max()
+    if tail > BAND_RTOL * np.abs(f).max():
+        raise ValueError(f"{name} has content above N//3 = {g.dealias_kmax} (residual {tail:.3e})")
+    return fhat
 
 
 def _omega(psi_field: np.ndarray, prob: TorusProblem) -> np.ndarray:
@@ -470,16 +476,11 @@ def torus_run(
 
 
 def make_balanced_omega0(
-    grid: PeriodicGrid,
-    abs_omega: float,
-    seed: int,
-    base_scale: float = 2.0,
-    amplitude: float = 0.05,
-    kmax: int = 3,
+    grid: PeriodicGrid, abs_omega: float, seed: int, amplitude: float = 0.05, kmax: int = 3
 ) -> np.ndarray:
     """Positive metric field whose Psi = ||Omega|| omega^2 is exactly closed.
 
-    Psi_0 = (constant positive matrix) + i del delbar (band-limited Hermitian
+    Psi_0 = psi_from_omega(2 I) + i del delbar (band-limited Hermitian
     field) is closed by construction, and band-limited: i del delbar acts on
     the band coefficients of the field.  omega_0 is recovered pointwise.
     """
@@ -487,7 +488,7 @@ def make_balanced_omega0(
     rng = np.random.default_rng(seed)
     eta = random_bandlimited_herm3(grid, rng, kmax, amplitude)
     iddbar = grid_first(band_inverse(grid, i_ddbar_11(grid, band_forward(grid, comp_first(eta)))))
-    base = psi_from_omega(base_scale * np.eye(3, dtype=complex), abs_omega)
+    base = psi_from_omega(2.0 * np.eye(3, dtype=complex), abs_omega)
     psi0 = np.broadcast_to(base, grid.shape + (3, 3)).copy()
     psi0 += hermitize(iddbar)
     omega0, _ = omega_from_psi(psi0, abs_omega)

@@ -19,9 +19,10 @@ T.shape + grid.shape (comp_first), so every grid slab of one component is
 contiguous: a band transform is then one gemm per grid axis, and the
 pointwise 3x3 algebra runs on grid_first views of the same memory.  Band
 coefficients of such a field (band_forward) have shape T.shape + band_shape.
-i_ddbar_11 maps band coefficients to band coefficients; the full-grid FFT
-(forward, inverse) is left to d_residual_22 and a grid-valued
-chern_curvature, where content above the band counts.
+i_ddbar_11 maps band coefficients to band coefficients, and d_residual_22
+works on the band coefficients of a band-limited field.  The full-grid FFT
+(forward, inverse) is left to a grid-valued chern_curvature, where content
+above the band counts; no CLI command calls it.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ def _axis_k(grid: PeriodicGrid, axis: int, band: bool = False) -> np.ndarray:
 def _symbols(grid: PeriodicGrid, band: bool = False):
     """(dz, dzbar) multiplier arrays per active complex coordinate.
 
-    On the full spectrum (grid.shape), or on the band (grid.band_shape, the
-    same values restricted to the kept modes).
+    On a mode e^{i k.x} they are i xi_j and i conj(xi_j), with xi_j =
+    (k_{x_j} - i k_{y_j})/2 the README's k -> xi map.  On the full spectrum
+    (grid.shape), or on the band (grid.band_shape, the same values
+    restricted to the kept modes).
     """
     dz_syms, dzb_syms = [], []
     for j in range(grid.complex_dims):
@@ -119,17 +122,16 @@ def _bcast(sym: np.ndarray, f_ndim: int, grid: PeriodicGrid) -> np.ndarray:
     return sym.reshape(sym.shape + (1,) * extra)
 
 
-def forward(grid: PeriodicGrid, f: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     """Full-grid FFT over the grid axes (scipy.fft).
 
-    scipy.fft is imported on the first call, not with the module: only
-    d_residual_22 and a grid-valued chern_curvature transform full grids,
-    so the Fu-Yau flow, verify and symbol never load it.  Both functions go
-    once these two work on band coefficients (ROADMAP item 1).
+    scipy.fft is imported on the first call, not with the module: only a
+    grid-valued chern_curvature, which no CLI command calls, transforms full
+    grids.  Both functions go with that branch (ROADMAP item 1).
     """
     import scipy.fft
 
-    return scipy.fft.fftn(f, axes=grid.axes, overwrite_x=overwrite)
+    return scipy.fft.fftn(f, axes=grid.axes)
 
 
 def inverse(grid: PeriodicGrid, fhat: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -459,47 +461,41 @@ def _d22_tables():
 
 
 def d_residual_22(grid: PeriodicGrid, psi_field: np.ndarray) -> float:
-    """Relative L2 size of d(Psi) for a Psi22 field.
+    """Relative L2 size of d(Psi) for a band-limited Psi22 field.
 
-    All coefficients of the 5-form d(Psi) are assembled with oracle-pinned
-    signs; the result is normalized by the L2 norm of Psi's own monomial
-    coefficients.  Zero field returns 0.
+    One complex band transform of Psi, shifted by its value at grid index 0
+    so that d of a constant is exactly zero; del_j and delbar_j are band
+    multipliers, and all coefficients of the 5-form d(Psi) are assembled on
+    the band with oracle-pinned signs.  Their L2 norm is taken by Parseval
+    and normalized by the L2 norm of Psi's own monomial coefficients.
+    Content above N//3 is not seen.  Zero field returns 0.
     """
-    conv, hol, ah = _d22_tables()
-    dz_syms, dzb_syms = _symbols(grid)
-    c = grid.complex_dims
-    comps = np.zeros((6,) + grid.shape, dtype=complex)
-    for j in range(c):
-        # row j (del_j hits the omitted-dz^j entries) and column j (del_jbar)
-        # share one stacked transform
-        stacked = np.concatenate(
-            [psi_field[..., j, :], psi_field[..., :, j]], axis=-1
-        )
-        shat = forward(grid, stacked, overwrite=True)
-        shat[..., :3] *= _bcast(dz_syms[j], shat.ndim, grid)
-        shat[..., 3:] *= _bcast(dzb_syms[j], shat.ndim, grid)
-        d = inverse(grid, shat, overwrite=True)
-        for b in range(3):
-            idx, s = hol[j][b]
-            comps[idx] += conv[j, b] * s * d[..., b]
-        for a in range(3):
-            idx, s = ah[a][j]
-            comps[idx] += conv[a, j] * s * d[..., 3 + a]
-    num = np.sqrt(np.mean(np.sum(np.abs(comps) ** 2, axis=0)))
     den = 2.0 * l2_norm(grid, psi_field)
     if den == 0.0:
         return 0.0
+    conv, hol, ah = _d22_tables()
+    dz_syms, dzb_syms = _symbols(grid, band=True)
+    psi = comp_first(np.asarray(psi_field, dtype=complex))
+    phat = band_forward(grid, psi - psi[(Ellipsis,) + (slice(1),) * (2 * grid.complex_dims)])
+    comps = np.zeros((6,) + grid.band_shape, dtype=complex)
+    for j in range(grid.complex_dims):
+        # del_j hits row j (the omitted-dz^j entries), delbar_j column j
+        for b in range(3):
+            idx, s = hol[j][b]
+            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[j, b]
+        for a in range(3):
+            idx, s = ah[a][j]
+            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[a, j]
+    num = np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
     return float(num / den)
 
 
-def random_bandlimited_herm3(
-    grid: PeriodicGrid, rng, kmax: int, amplitude: float = 1.0, n_modes: int = 3
-) -> np.ndarray:
-    """Hermitian-matrix-valued band-limited field (mean zero)."""
+def random_bandlimited_herm3(grid: PeriodicGrid, rng, kmax: int, amplitude: float = 1.0) -> np.ndarray:
+    """Hermitian-matrix-valued band-limited field (mean zero): three random modes."""
     kmax = min(kmax, grid.dealias_kmax)
     xs = grid.coords()
     out = np.zeros(grid.shape + (3, 3), dtype=complex)
-    for _ in range(n_modes):
+    for _ in range(3):
         k = rng.integers(-kmax, kmax + 1, size=len(xs))
         if not np.any(k):
             k[0] = 1
@@ -507,5 +503,5 @@ def random_bandlimited_herm3(
         arg = sum(TWO_PI / grid.period * ki * x for ki, x in zip(k, xs))
         e = np.exp(1j * arg)
         out = out + e[..., None, None] * a + np.conj(e)[..., None, None] * a.conj().T
-    out *= amplitude / max(n_modes, 1)
+    out *= amplitude / 3
     return out

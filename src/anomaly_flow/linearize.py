@@ -9,7 +9,9 @@ to the kernel of the symbol of d, to have strictly positive real parts.  The
 kernel is the 4-real-dimensional space of Hermitian dPsi with
 xi_j dPsi^{j kbar} = 0; the restriction is represented as a real 4x4 matrix
 in a Frobenius-orthonormal basis and eigenvalues are those of that matrix
-(complex pairs allowed).
+(complex pairs allowed).  A covector xi is tied to a torus Fourier mode by
+the README's k -> xi map, under which the torus flow's linear part at a
+constant metric with a' = 0 is -sigma(xi).
 
 Each covector is one stacked pass: the form arguments of rm_apply, wedge_xi_extract,
 delta_tilde_symbol and coupled_symbol broadcast over leading axes, so restricted_symbol,

@@ -34,6 +34,28 @@ def test_load_config_rejects_garbage(tmp_path):
             cfgmod.load_config(write_cfg(tmp_path / "shape.json", bad))
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"time": {"dt_fxed": 0.002}, "torus": {"amplitud": 0.04}}, "time.dt_fxed"),
+        ({"time": {"margin_min": 0.0}}, "time.margin_min"),
+        ({"torus": {"base_scale": 2.0}}, "torus.base_scale"),
+        ({"outptu": {"dir": "elsewhere"}}, "outptu"),
+    ],
+)
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys, extra, named):
+    # a misspelt or removed key is an input error, not a silently ignored default
+    cfg = write_cfg(tmp_path / "k.json", {
+        "command": "flow-torus", "seed": 2,
+        "grid": {"complex_dims": 1, "points_per_dim": 16},
+        "output": {"dir": str(tmp_path)},
+        **extra,
+    })
+    assert cli.main(["flow-torus", "--config", cfg]) == cli.EXIT_INPUT_ERROR
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "monitors.csv").exists()
+
+
 def test_materialize_scalar_modes_and_band_limit():
     g = PeriodicGrid(1, 16)
     f = cfgmod.materialize_scalar(g, {"constant": 2.0, "modes": [{"k": [1, 0], "amplitude": [0.5, 0.0]}]})
@@ -260,8 +282,9 @@ def test_run_symbol_one_sweep_call_per_direction(tmp_path, monkeypatch):
     ]
 
 
-def test_cli_import_verify_and_fuyau_skip_scipy(tmp_path):
-    # scipy loads only where it is used: the covector sampler and the full-grid FFTs
+def test_cli_verify_fuyau_and_torus_load_no_scipy(tmp_path):
+    # scipy loads only where it is used: the covector sampler and the full-grid FFTs,
+    # which no flow, fixture or monitor takes
     src = os.path.dirname(os.path.dirname(anomaly_flow.__file__))
     verify_cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "seed": 3, "output": {"dir": str(tmp_path / "v")}})
     fuyau_cfg = write_cfg(tmp_path / "f.json", {
@@ -272,6 +295,16 @@ def test_cli_import_verify_and_fuyau_skip_scipy(tmp_path):
         "fuyau": {"alpha_prime": 0.02, "f": {"constant": 0.5},
                   "u0": {"modes": [{"k": [1, 0, -2, 1], "amplitude": [0.01, 0.02]}]}},
     })
+    torus_cfgs = [
+        write_cfg(tmp_path / f"t{c}.json", {
+            "command": "flow-torus", "seed": 4,
+            "grid": {"complex_dims": c, "points_per_dim": n},
+            "time": {"t_final": 0.006, "dt_fixed": 0.002},
+            "output": {"dir": str(tmp_path / f"t{c}"), "snapshot_interval": 1},
+            "torus": {"alpha_prime": alpha, "stationary": c == 2, "amplitude": 0.04, "kmax": 2},
+        })
+        for c, n, alpha in ((1, 16, 0.0), (2, 8, 0.2))
+    ]
     code = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -280,6 +313,10 @@ def test_cli_import_verify_and_fuyau_skip_scipy(tmp_path):
         "print('after import', scipy_modules())\n"
         f"print('after verify', cli.main(['verify', '--config', {verify_cfg!r}]), scipy_modules())\n"
         f"print('after flow-fuyau', cli.main(['flow-fuyau', '--config', {fuyau_cfg!r}]), scipy_modules())\n"
+        + "".join(
+            f"print('after flow-torus', cli.main(['flow-torus', '--config', {cfg!r}]), scipy_modules())\n"
+            for cfg in torus_cfgs
+        )
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -289,7 +326,9 @@ def test_cli_import_verify_and_fuyau_skip_scipy(tmp_path):
         check=True,
     )
     stages = [line for line in out.stdout.splitlines() if line.startswith("after ")]
-    assert stages == ["after import []", "after verify 0 []", "after flow-fuyau 0 []"]
+    assert stages == ["after import []", "after verify 0 []", "after flow-fuyau 0 []",
+                      "after flow-torus 0 []", "after flow-torus 0 []"]
+    assert len(list((tmp_path / "t2").glob("psi_00000*.anmf"))) == 3
 
 
 def test_cli_fuyau_trivial_and_determinism(tmp_path):

@@ -7,6 +7,7 @@ from anomaly_flow import config as cfgmod
 from anomaly_flow import exterior as ex
 from anomaly_flow import flow as fl
 from anomaly_flow import grid as gr
+from anomaly_flow import linearize as lin
 from anomaly_flow import pointwise as pw
 from anomaly_flow.errors import PositivityError
 
@@ -156,7 +157,18 @@ def test_torus_problem_validation_rejects_unbalanced_start():
     x, _ = G32T.coords()
     conf = (1.0 + 0.2 * np.cos(x)) * np.ones(G32T.shape)
     om0 = 2 * conf[..., None, None] * np.eye(3)  # conformal metric is not balanced
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not balanced"):
+        fl.TorusProblem(G32T, 0.1, 1.0, np.zeros(G32T.shape + (3, 3)), om0)
+
+
+def test_torus_problem_rejects_out_of_band_initial_psi():
+    # band derivatives cannot see content above N//3, so the band check runs first
+    x, _ = G32T.coords()
+    wave = np.exp(1j * (G32T.dealias_kmax + 1) * x) * np.ones(G32T.shape)
+    a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.5j], [0.0, 0.0, 0.3]])
+    om0 = fl.make_balanced_omega0(G32T, 1.0, seed=5, amplitude=0.03)
+    om0 = om0 + 1e-3 * (wave[..., None, None] * a + np.conj(wave)[..., None, None] * a.conj().T)
+    with pytest.raises(ValueError, match="Psi has content above N//3"):
         fl.TorusProblem(G32T, 0.1, 1.0, np.zeros(G32T.shape + (3, 3)), om0)
 
 
@@ -370,6 +382,34 @@ def test_torus_stationarity_report_decreases_on_converging_run():
     assert r_end < 0.5 * r_start
     rhs_norms = hist.monitors["rhs_norm"]
     assert rhs_norms[-1] < rhs_norms[0]
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_torus_linearization_is_minus_the_symbol(c):
+    # at a constant metric with a' = 0 the flow's linear part on a band mode
+    # e^{i k.x} is -sigma(xi), xi_j = (k_{x_j} - i k_{y_j})/2 (the README's k -> xi map).
+    # omega = adj(Psi)/|Omega|^2 is quadratic in Psi and the rest of the rate is
+    # linear, so the central difference is exact to roundoff.
+    g = gr.PeriodicGrid(c, 16)
+    rng = np.random.default_rng(20 + c)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    omega = a @ a.conj().T + np.eye(3)
+    abs_omega, eps = 1.3, 1e-2
+    prob = fl.TorusProblem(g, 0.0, abs_omega, np.zeros(g.shape + (3, 3)),
+                           np.broadcast_to(omega, g.shape + (3, 3)))
+    psi = prob.psi0
+    xs = g.coords()
+    for _ in range(6):
+        k = np.zeros(2 * c, dtype=int)
+        while not k.any():
+            k = rng.integers(-g.dealias_kmax, g.dealias_kmax + 1, size=2 * c)
+        xi = np.zeros(3, dtype=complex)
+        xi[:c] = (k[0::2] - 1j * k[1::2]) / 2
+        wave = 2 * np.cos(sum(ki * x for ki, x in zip(k, xs)))[..., None, None]
+        for b in lin.d_symbol_kernel(xi):
+            got = (fl.torus_rhs(psi + eps * wave * b, prob) - fl.torus_rhs(psi - eps * wave * b, prob)) / (2 * eps)
+            ref = -wave * lin.delta_tilde_symbol(xi, omega, abs_omega, np.zeros((3, 3, 3, 3)), 0.0, b)
+            assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_torus_positivity_halt():

@@ -33,9 +33,9 @@ def _apply(grid, sym, f):
     return np.fft.ifftn(sym * np.fft.fftn(f, axes=axes), axes=axes)
 
 
-# gr._symbols holds the del_j/delbar_j multipliers of chern_curvature and d_residual_22,
-# and on the band those of i_ddbar_11; the next four tests pin their convention on G1
-# (z = x + i y).
+# gr._symbols holds the del_j/delbar_j multipliers of the grid-valued chern_curvature,
+# and on the band those of i_ddbar_11 and d_residual_22; the next four tests pin their
+# convention on G1 (z = x + i y).
 
 
 def test_diff_constant_is_zero():
