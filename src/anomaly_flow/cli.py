@@ -174,8 +174,7 @@ def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
         u0 = None
         if "u0" in spec:
             u0 = cfgmod.materialize_scalar(grid, spec["u0"], "u0")
-        ctrl = cfgmod.parse_dt_control(cfg.raw.get("time"))
-        t_final = float(cfg.raw.get("time", {}).get("t_final", 1.0))
+        t_final, ctrl = cfgmod.parse_time(cfg.raw.get("time"))
     hist = flowmod.fu_yau_run(
         prob, t_final, ctrl, u0=u0, on_step=_snapshot_writer(cfg, grid, KIND_SCALAR_REAL, "u")
     )
@@ -201,8 +200,7 @@ def run_flow_torus(cfg: cfgmod.RunConfig) -> int:
             )
             phi0 = np.zeros(grid.shape + (3, 3), dtype=complex)
             prob = flowmod.TorusProblem(grid, alpha, abs_omega, phi0, omega0)
-        ctrl = cfgmod.parse_dt_control(cfg.raw.get("time"))
-        t_final = float(cfg.raw.get("time", {}).get("t_final", 1.0))
+        t_final, ctrl = cfgmod.parse_time(cfg.raw.get("time"))
     hist = flowmod.torus_run(
         prob, t_final, ctrl, on_step=_snapshot_writer(cfg, grid, KIND_PSI22, "psi")
     )

@@ -21,8 +21,8 @@ pointwise 3x3 algebra runs on grid_first views of the same memory.  Band
 coefficients of such a field (band_forward) have shape T.shape + band_shape.
 i_ddbar_11 maps band coefficients to band coefficients, and d_residual_22
 works on the band coefficients of a band-limited field.  The full-grid FFT
-(forward, inverse) is left to a grid-valued chern_curvature, where content
-above the band counts; no CLI command calls it.
+(forward, inverse, on numpy.fft) is left to a grid-valued chern_curvature,
+where content above the band counts; no CLI command calls it.
 """
 
 from __future__ import annotations
@@ -123,22 +123,13 @@ def _bcast(sym: np.ndarray, f_ndim: int, grid: PeriodicGrid) -> np.ndarray:
 
 
 def forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    """Full-grid FFT over the grid axes (scipy.fft).
-
-    scipy.fft is imported on the first call, not with the module: only a
-    grid-valued chern_curvature, which no CLI command calls, transforms full
-    grids.  Both functions go with that branch (ROADMAP item 1).
-    """
-    import scipy.fft
-
-    return scipy.fft.fftn(f, axes=grid.axes)
+    """Full-grid FFT over the grid axes; only a grid-valued chern_curvature takes one."""
+    return np.fft.fftn(f, axes=grid.axes)
 
 
-def inverse(grid: PeriodicGrid, fhat: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Inverse of forward, imported the same way; overwrite=True may consume fhat (pass only scratch)."""
-    import scipy.fft
-
-    return scipy.fft.ifftn(fhat, axes=grid.axes, overwrite_x=overwrite)
+def inverse(grid: PeriodicGrid, fhat: np.ndarray) -> np.ndarray:
+    """Inverse of forward."""
+    return np.fft.ifftn(fhat, axes=grid.axes)
 
 
 def along_axis(mat: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
@@ -359,7 +350,7 @@ def chern_curvature(
         dz_full, _ = _symbols(grid)
 
         def d_omega(j):
-            d = inverse(grid, fhat * _bcast(dz_full[j], fhat.ndim, grid), overwrite=True)
+            d = inverse(grid, fhat * _bcast(dz_full[j], fhat.ndim, grid))
             return np.moveaxis(d, (-2, -1), (0, 1))
 
     else:

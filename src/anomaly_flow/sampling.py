@@ -1,7 +1,8 @@
 """Deterministic samplers and random tensor fixtures.
 
-Covector directions come from a scrambled Sobol sequence mapped to the unit
-5-sphere, so verdicts are reproducible for a given seed.  Curvature fixtures
+Covector directions come from a randomized Halton sequence (Halton 1960;
+Owen, "A randomized Halton algorithm", 2017) mapped to the unit sphere of C^3,
+so verdicts are reproducible for a given seed.  Curvature fixtures
 are generated with the reality property of a Chern curvature tensor
 (conj(R_{kbar j}^p_q) = R_{jbar k}^q_p in an orthonormal frame) and
 transported to the frame of an arbitrary positive metric.
@@ -16,20 +17,26 @@ from .pointwise import hermitize
 
 
 def unit_covectors(n_dirs: int, seed: int) -> np.ndarray:
-    """(n_dirs, 3) complex unit (1,0)-covectors, low-discrepancy, seeded."""
-    # imported here: scipy.stats costs most of the package's import time
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+    """(n_dirs, 3) complex unit (1,0)-covectors, low-discrepancy, seeded.
 
+    Points of the Halton sequence in bases 2, 3, 5, 7 and 11, each digit place
+    with its own seeded digit permutation and each axis with a seeded shift.
+    (|z_1|^2, |z_2|^2, |z_3|^2) is uniform on the simplex and the three phases
+    are uniform, so i.i.d. inputs would give the uniform measure on the sphere.
+    """
     if n_dirs < 1:
         raise DegenerateInputError(f"n_dirs must be >= 1, got {n_dirs}")
-    sob = qmc.Sobol(d=6, scramble=True, seed=seed)
-    m = max(1, int(np.ceil(np.log2(n_dirs))))
-    u = sob.random_base2(m)[:n_dirs]
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = ndtri(u)
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return g[:, 0::2] + 1j * g[:, 1::2]
+    rng = np.random.default_rng(seed)
+    u = np.tile(rng.random(5), (n_dirs, 1))
+    for d, b in enumerate((2, 3, 5, 7, 11)):
+        i, f = np.arange(n_dirs), 1.0 / b
+        while f * n_dirs * b > 1:  # the places that tell the n_dirs points apart
+            u[:, d] += f * rng.permutation(b)[i % b]
+            i, f = i // b, f / b
+    u %= 1.0
+    s = np.sqrt(u[:, 0])
+    mod = np.sqrt(np.stack([1.0 - s, s * (1.0 - u[:, 1]), s * u[:, 1]], axis=1))
+    return mod * np.exp(2j * np.pi * u[:, 2:])
 
 
 def random_hermitian(rng, dim: int = 3, scale: float = 1.0) -> np.ndarray:

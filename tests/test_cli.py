@@ -1,10 +1,13 @@
 """CLI, config parsing, snapshot format, verification front end."""
 
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import pytest
 import anomaly_flow
 from anomaly_flow import cli, linearize, pointwise, sampling, verify
 from anomaly_flow import config as cfgmod
+from anomaly_flow import flow as flowmod
 from anomaly_flow import snapshot as snap
 from anomaly_flow.errors import ConfigError
 from anomaly_flow.grid import PeriodicGrid
@@ -34,6 +38,9 @@ def test_load_config_rejects_garbage(tmp_path):
             cfgmod.load_config(write_cfg(tmp_path / "shape.json", bad))
 
 
+FUYAU_N8 = {"command": "flow-fuyau", "grid": {"complex_dims": 2, "points_per_dim": 8}}
+
+
 @pytest.mark.parametrize(
     "extra, named",
     [
@@ -41,19 +48,36 @@ def test_load_config_rejects_garbage(tmp_path):
         ({"time": {"margin_min": 0.0}}, "time.margin_min"),
         ({"torus": {"base_scale": 2.0}}, "torus.base_scale"),
         ({"outptu": {"dir": "elsewhere"}}, "outptu"),
+        (FUYAU_N8 | {"fuyau": {"u0": {"mode": [{"k": [1, 0, 0, 0], "amplitude": [0.01, 0]}]}}},
+         "u0.mode"),
+        (FUYAU_N8 | {"fuyau": {"u0": {"modes": [
+            {"k": [1, 0, 0, 0], "amplitude": [0.01, 0], "phase": 0.3}]}}}, "u0 mode.phase"),
+        (FUYAU_N8 | {"fuyau": {"f": {"constant": 0.5, "mdoes": []}}}, "f.mdoes"),
+        ({"command": "symbol", "symbol": {"curvature": {"adversarial": 2.0, "strength": 9}}},
+         "curvature.strength"),
+        ({"command": "symbol", "symbol": {"curvature": {"adversarial": 2.0, "random": {}}}},
+         "got adversarial, random"),
+        ({"command": "symbol", "symbol": {"curvature": {"random": {"sead": 4}}}},
+         "curvature.random.sead"),
+        ({"command": "symbol", "symbol": {"omega": {"identity": 1.0, "at": [0, 0]}}}, "omega.at"),
+        ({"command": "symbol", "symbol": {"omega": {"identity": 1.0, "inline": [[1]]}}},
+         "got identity, inline"),
     ],
 )
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, extra, named):
-    # a misspelt or removed key is an input error, not a silently ignored default
-    cfg = write_cfg(tmp_path / "k.json", {
+    # a misspelt or removed key is an input error, not a silently ignored default;
+    # so is a nested spec that sets more than one of its variants
+    payload = {
         "command": "flow-torus", "seed": 2,
         "grid": {"complex_dims": 1, "points_per_dim": 16},
         "output": {"dir": str(tmp_path)},
         **extra,
-    })
-    assert cli.main(["flow-torus", "--config", cfg]) == cli.EXIT_INPUT_ERROR
+    }
+    cfg = write_cfg(tmp_path / "k.json", payload)
+    assert cli.main([payload["command"], "--config", cfg]) == cli.EXIT_INPUT_ERROR
     assert named in capsys.readouterr().err
     assert not (tmp_path / "monitors.csv").exists()
+    assert not (tmp_path / "symbol_report.csv").exists()
 
 
 def test_materialize_scalar_modes_and_band_limit():
@@ -282,11 +306,15 @@ def test_run_symbol_one_sweep_call_per_direction(tmp_path, monkeypatch):
     ]
 
 
-def test_cli_verify_fuyau_and_torus_load_no_scipy(tmp_path):
-    # scipy loads only where it is used: the covector sampler and the full-grid FFTs,
-    # which no flow, fixture or monitor takes
+def test_cli_commands_run_with_scipy_blocked(tmp_path):
+    # numpy is the only numerical dependency: with every scipy import failing, each
+    # command and the grid-valued chern_curvature run, and no scipy module loads
     src = os.path.dirname(os.path.dirname(anomaly_flow.__file__))
     verify_cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "seed": 3, "output": {"dir": str(tmp_path / "v")}})
+    symbol_cfg = write_cfg(tmp_path / "s.json", {
+        "command": "symbol", "seed": 3, "output": {"dir": str(tmp_path / "s")},
+        "symbol": {"curvature": {"adversarial": 2.0}, "alpha_list": [0.0, 0.1], "n_dirs": 16},
+    })
     fuyau_cfg = write_cfg(tmp_path / "f.json", {
         "command": "flow-fuyau",
         "grid": {"complex_dims": 2, "points_per_dim": 8},
@@ -305,30 +333,52 @@ def test_cli_verify_fuyau_and_torus_load_no_scipy(tmp_path):
         })
         for c, n, alpha in ((1, 16, 0.0), (2, 8, 0.2))
     ]
+    runs = [("verify", verify_cfg), ("symbol", symbol_cfg), ("flow-fuyau", fuyau_cfg)]
+    runs += [("flow-torus", cfg) for cfg in torus_cfgs]
     code = (
         "import sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
         "import anomaly_flow.cli as cli\n"
-        "print('after import', scipy_modules())\n"
-        f"print('after verify', cli.main(['verify', '--config', {verify_cfg!r}]), scipy_modules())\n"
-        f"print('after flow-fuyau', cli.main(['flow-fuyau', '--config', {fuyau_cfg!r}]), scipy_modules())\n"
-        + "".join(
-            f"print('after flow-torus', cli.main(['flow-torus', '--config', {cfg!r}]), scipy_modules())\n"
-            for cfg in torus_cfgs
-        )
+        "from anomaly_flow import flow, grid\n"
+        + "".join(f"print({cmd!r}, cli.main([{cmd!r}, '--config', {cfg!r}]))\n" for cmd, cfg in runs)
+        + "g = grid.PeriodicGrid(2, 8)\n"
+        "omega = flow.make_balanced_omega0(g, 1.0, 3, amplitude=0.04, kmax=2)\n"
+        "print('chern_curvature', grid.chern_curvature(g, omega).shape)\n"
+        "print('scipy modules', sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
-        check=True,
     )
-    stages = [line for line in out.stdout.splitlines() if line.startswith("after ")]
-    assert stages == ["after import []", "after verify 0 []", "after flow-fuyau 0 []",
-                      "after flow-torus 0 []", "after flow-torus 0 []"]
+    assert out.returncode == 0, out.stderr
+    lines = [line for line in out.stdout.splitlines()
+             if line.startswith(("verify", "symbol", "flow-", "chern", "scipy"))]
+    assert lines == [f"{cmd} 0" for cmd, _ in runs] + [
+        "chern_curvature (8, 8, 8, 8, 2, 2, 3, 3)", "scipy modules []"]
     assert len(list((tmp_path / "t2").glob("psi_00000*.anmf"))) == 3
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    # pyproject.toml lists exactly the packages that src/anomaly_flow imports
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in declared}
+    imported = set()
+    for path in (root / "src" / "anomaly_flow").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"anomaly_flow"} == declared
 
 
 def test_cli_fuyau_trivial_and_determinism(tmp_path):
@@ -477,15 +527,35 @@ def _torus_cfg(tmp_path, **time):
     )
 
 
-def test_cli_rejects_nonpositive_dt_fixed(tmp_path):
-    for dt in (0, -0.001):
-        cfg = _torus_cfg(tmp_path, dt_fixed=dt)
-        assert cli.main(["flow-torus", "--config", cfg]) == cli.EXIT_INPUT_ERROR
+def test_cli_rejects_nonpositive_dt_fixed(tmp_path, capsys):
+    # a time control no run can use is bad input: not a halt at t=0, not a run of 0 steps
+    bad = [
+        ({"dt_fixed": 0}, "dt_fixed"),
+        ({"dt_fixed": -0.001}, "dt_fixed"),
+        ({"cfl": 0}, "cfl"),
+        ({"cfl": -0.2}, "cfl"),
+        ({"dt_max": 0}, "dt_max"),
+        ({"dt_min": -1e-3}, "dt_min"),
+        ({"dt_min": 0.5, "dt_max": 0.1}, "dt_min"),
+        ({"t_final": float("nan")}, "t_final"),
+        ({"t_final": -1}, "t_final"),
+    ]
+    for time, field in bad:
+        fuyau = {**FUYAU_N8, "time": {"t_final": 0.01, **time}, "output": {"dir": str(tmp_path)}}
+        for command, cfg in (("flow-torus", _torus_cfg(tmp_path, **time)),
+                             ("flow-fuyau", write_cfg(tmp_path / "fy.json", fuyau))):
+            assert cli.main([command, "--config", cfg]) == cli.EXIT_INPUT_ERROR, (command, time)
+            assert field in capsys.readouterr().err
     assert not (tmp_path / "monitors.csv").exists()
-    for dt in (0.0, float("inf"), float("nan")):
+    for time in ({"dt_fixed": 0.0}, {"dt_fixed": float("inf")}, {"dt_fixed": float("nan")},
+                 {"cfl": float("inf")}, {"cfl": float("nan")}, {"dt_max": float("nan")},
+                 {"dt_min": float("inf")}, {"t_final": float("inf")}, {"t_final": 0}):
         with pytest.raises(ConfigError):
-            cfgmod.parse_dt_control({"dt_fixed": dt})
-    assert cfgmod.parse_dt_control({"dt_fixed": None}).dt_fixed is None
+            cfgmod.parse_time(time)
+    assert cfgmod.parse_time({"dt_fixed": None})[1].dt_fixed is None
+    # the defaults, an unbounded dt_max and a zero dt_min stay valid
+    assert cfgmod.parse_time({}) == (1.0, flowmod.DtControl())
+    assert cfgmod.parse_time({"dt_min": 0, "dt_max": float("inf")})[1].dt_min == 0.0
 
 
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):

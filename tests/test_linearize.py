@@ -179,6 +179,39 @@ def test_ellipticity_check_aggregate():
         lin.ellipticity_check(I3, 1.0, RZERO, 0.0, xis[:0])
 
 
+def _median_covering_radius(n_dirs):
+    """Median over sampler seeds 0-40 of the projective covering radius of n_dirs directions.
+
+    xi and e^{it} xi give the same symbol, so a probe's distance to a direction x is
+    sqrt(1 - |<probe, x>|^2); the radius is the largest distance, over 20,000 seeded
+    unit probes, to the nearest direction.
+    """
+    g = np.random.default_rng(0).standard_normal((20000, 6))
+    probes = g[:, 0::2] + 1j * g[:, 1::2]
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    radii = []
+    for seed in range(41):
+        nearest = np.abs(probes @ samp.unit_covectors(n_dirs, seed).conj().T).max(axis=1)
+        radii.append(np.sqrt(1.0 - nearest.min() ** 2))
+    return float(np.median(radii))
+
+
+# _median_covering_radius of the scrambled Sobol sampler (scipy.stats.qmc, mapped
+# through the normal quantile) that unit_covectors used before its Halton points
+SOBOL_COVERING_RADIUS = {16: 0.766286, 64: 0.569157, 256: 0.413303}
+
+
+def test_unit_covectors_cover_the_projective_sphere():
+    for n_dirs, sobol in SOBOL_COVERING_RADIUS.items():
+        assert _median_covering_radius(n_dirs) <= 1.03 * sobol, n_dirs
+    xis = samp.unit_covectors(256, 7)
+    np.testing.assert_allclose(np.linalg.norm(xis, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(xis, samp.unit_covectors(256, 7))
+    one = samp.unit_covectors(1, 7)
+    assert one.shape == (1, 3)
+    assert abs(np.linalg.norm(one) - 1.0) <= 1e-15
+
+
 def test_ellipticity_check_deterministic():
     a, margin_a = lin.ellipticity_check(I3, 1.0, RZERO, 0.3, samp.unit_covectors(8, 9))
     b, margin_b = lin.ellipticity_check(I3, 1.0, RZERO, 0.3, samp.unit_covectors(8, 9))
