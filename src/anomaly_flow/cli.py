@@ -173,7 +173,7 @@ def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
         )
         u0 = None
         if "u0" in spec:
-            u0 = cfgmod.materialize_scalar(grid, spec["u0"], "u0")
+            u0 = prob.initial_state(cfgmod.materialize_scalar(grid, spec["u0"], "u0"))
         t_final, ctrl = cfgmod.parse_time(cfg.raw.get("time"))
     hist = flowmod.fu_yau_run(
         prob, t_final, ctrl, u0=u0, on_step=_snapshot_writer(cfg, grid, KIND_SCALAR_REAL, "u")

@@ -20,7 +20,14 @@ contiguous: a band transform is then one gemm per grid axis, and the
 pointwise 3x3 algebra runs on grid_first views of the same memory.  Band
 coefficients of such a field (band_forward) have shape T.shape + band_shape.
 i_ddbar_11 maps band coefficients to band coefficients, and d_residual_22
-works on the band coefficients of a band-limited field.  The full-grid FFT
+works on the band coefficients of a band-limited field.  Both touch only the
+components they need: the oracle's table fixes the support of i del delbar
+at the grid's c (_iddbar_support: the entries of omega it reads, 3 j + k,
+and those of Psi it writes, 3 a + b; the 2x2 block a, b in {1, 2} at c = 1,
+all nine at c = 2), i_ddbar_11 maps the stacked coefficients of the one set
+to those of the other, and band_inverse(rows=) puts such a stack back into a
+whole 3x3 field.  d_residual_22 transforms the components in a row or a
+column j < c, those d reads.  The full-grid FFT
 (forward, inverse, on numpy.fft) is left to a grid-valued chern_curvature,
 where content above the band counts; no CLI command calls it.
 """
@@ -198,22 +205,35 @@ def _band_matrices(grid: PeriodicGrid):
 _CHUNK_BYTES = 1 << 20  # grid data per band-transform chunk: about one core's L2 cache
 
 
-def _band_complex(grid: PeriodicGrid, mat: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _row_index(rows) -> slice | list:
+    """An index of the leading axis for sorted row numbers: a slice, which gives a
+    view and no copy, when they are consecutive, else the list of them."""
+    rows = list(rows)
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
+
+
+def _band_complex(grid: PeriodicGrid, mat: np.ndarray, f: np.ndarray, rows=None) -> np.ndarray:
     """mat along each of the 2c trailing (grid) axes of a complex field.
 
     The leading (component) axes are taken a chunk at a time, so that each
     chunk's transforms run in cache; the last axis goes first, as one gemm.
+    With rows (flat indices 3 a + b), f stacks those components of a 3x3
+    field, and each chunk is written to its rows of the whole field,
+    (3, 3) + grid axes, whose other components are exact zeros.
     """
     naxes = 2 * grid.complex_dims
-    lead, n_in, n_out = f.shape[:-naxes], f.shape[-1], mat.shape[0]
+    n_in, n_out = f.shape[-1], mat.shape[0]
     flat = np.ascontiguousarray(f).reshape((-1,) + (n_in,) * naxes)
-    out = np.empty((flat.shape[0],) + (n_out,) * naxes, dtype=complex)
+    lead = f.shape[:-naxes] if rows is None else (3, 3)
+    dest = list(range(flat.shape[0]) if rows is None else rows)
+    out = np.empty((math.prod(lead),) + (n_out,) * naxes, dtype=complex)
+    out[[i for i in range(len(out)) if i not in dest]] = 0.0
     step = max(1, _CHUNK_BYTES // (16 * max(n_in, n_out) ** naxes))
     for i in range(0, flat.shape[0], step):
         y = along_axis(mat, flat[i : i + step], naxes)
         for ax in range(1, naxes):
             y = along_axis(mat, y, ax)
-        out[i : i + step] = y
+        out[_row_index(dest[i : i + step])] = y
     return out.reshape(lead + out.shape[1:])
 
 
@@ -237,15 +257,18 @@ def band_forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     return y
 
 
-def band_inverse(grid: PeriodicGrid, chat: np.ndarray) -> np.ndarray:
+def band_inverse(grid: PeriodicGrid, chat: np.ndarray, rows=None) -> np.ndarray:
     """The field whose spectrum is chat on the band (see band_forward) and zero elsewhere.
 
     A last axis of N//3 + 1 bins is a real field's half spectrum and gives
-    a real field; a full band (2 (N//3) + 1 bins) gives a complex one.
+    a real field; a full band (2 (N//3) + 1 bins) gives a complex one.  For
+    a complex band, rows (flat indices 3 a + b) says which components of a
+    3x3 field chat stacks: the result is then the whole field,
+    component-first (3, 3) + grid.shape, with exact zeros in the others.
     """
     _, inv, _, rinv = _band_matrices(grid)
     if chat.shape[-1] != grid.dealias_kmax + 1:
-        return _band_complex(grid, inv, chat)
+        return _band_complex(grid, inv, chat, rows)
     last = chat.ndim - 1
     y = chat
     for ax in range(last - 1, chat.ndim - 2 * grid.complex_dims - 1, -1):
@@ -304,19 +327,38 @@ def _iddbar_gemm_table():
     return table
 
 
+@lru_cache(maxsize=None)
+def _iddbar_support(c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(reads, writes) of i del delbar at c active dims, read from the oracle's table.
+
+    reads are the flat indices 3 j + k of the Herm3 entries omega_{jbar k}
+    that some table entry takes in, writes the flat indices 3 a + b of the
+    Psi22 entries that some table entry reaches.  At c = 1 both are the
+    2x2 block a, b in {1, 2}; at c = 2 both are all nine.
+    """
+    nonzero = np.any(_iddbar_gemm_table()[:c, :c] != 0, axis=(0, 1))
+    return (tuple(np.flatnonzero(nonzero.any(axis=1)).tolist()),
+            tuple(np.flatnonzero(nonzero.any(axis=0)).tolist()))
+
+
 def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
     """Band coefficients of i del delbar of a Herm3 field, assembled as a Psi22 field.
 
-    ohat and the result are component-first band coefficients, (3, 3) +
-    grid.band_shape.  Linear in the input, hence exactly d-closed at the
-    discrete level; the gemm table commutes with the transform.
+    ohat stacks the component-first band coefficients of the entries the
+    operator reads (_iddbar_support), (len(reads),) + grid.band_shape, and
+    the result those of the entries it writes, (len(writes),) +
+    grid.band_shape; at c = 2 both are all nine, and reshape((3, 3) +
+    grid.band_shape) gives the 3x3 layout.  Linear in the input, hence
+    exactly d-closed at the discrete level; the gemm table commutes with
+    the transform.
     """
+    reads, writes = _iddbar_support(grid.complex_dims)
     table = _iddbar_gemm_table()
     dz_syms, dzb_syms = _symbols(grid, band=True)
-    flat = ohat.reshape(9, -1)
+    flat = ohat.reshape(len(reads), -1)
     out = None
     for l, m in np.ndindex(grid.complex_dims, grid.complex_dims):
-        term = (table[l, m].T @ flat).reshape(ohat.shape)
+        term = (table[l, m][np.ix_(reads, writes)].T @ flat).reshape((len(writes),) + grid.band_shape)
         term *= dz_syms[l] * dzb_syms[m]
         if out is None:
             out = term
@@ -454,29 +496,33 @@ def _d22_tables():
 def d_residual_22(grid: PeriodicGrid, psi_field: np.ndarray) -> float:
     """Relative L2 size of d(Psi) for a band-limited Psi22 field.
 
-    One complex band transform of Psi, shifted by its value at grid index 0
-    so that d of a constant is exactly zero; del_j and delbar_j are band
-    multipliers, and all coefficients of the 5-form d(Psi) are assembled on
-    the band with oracle-pinned signs.  Their L2 norm is taken by Parseval
-    and normalized by the L2 norm of Psi's own monomial coefficients.
-    Content above N//3 is not seen.  Zero field returns 0.
+    One complex band transform of the components d reads (those in a row
+    or a column j < c: 5 of 9 at c = 1, 8 at c = 2), shifted by their value
+    at grid index 0 so that d of a constant is exactly zero; del_j and
+    delbar_j are band multipliers, and all coefficients of the 5-form d(Psi)
+    are assembled on the band with oracle-pinned signs.  Their L2 norm is
+    taken by Parseval and normalized by the L2 norm of Psi's own monomial
+    coefficients.  Content above N//3 is not seen.  Zero field returns 0.
     """
     den = 2.0 * l2_norm(grid, psi_field)
     if den == 0.0:
         return 0.0
     conv, hol, ah = _d22_tables()
+    c = grid.complex_dims
     dz_syms, dzb_syms = _symbols(grid, band=True)
-    psi = comp_first(np.asarray(psi_field, dtype=complex))
-    phat = band_forward(grid, psi - psi[(Ellipsis,) + (slice(1),) * (2 * grid.complex_dims)])
+    # del_j hits row j (the omitted-dz^j entries), delbar_j column j
+    rows = sorted({3 * j + k for j in range(c) for k in range(3)} | {3 * k + j for j in range(c) for k in range(3)})
+    at = {r: i for i, r in enumerate(rows)}
+    psi = comp_first(np.asarray(psi_field, dtype=complex)).reshape((9,) + grid.shape)[_row_index(rows)]
+    phat = band_forward(grid, psi - psi[(slice(None),) + (slice(1),) * (2 * c)])
     comps = np.zeros((6,) + grid.band_shape, dtype=complex)
-    for j in range(grid.complex_dims):
-        # del_j hits row j (the omitted-dz^j entries), delbar_j column j
+    for j in range(c):
         for b in range(3):
             idx, s = hol[j][b]
-            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[j, b]
+            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[at[3 * j + b]]
         for a in range(3):
             idx, s = ah[a][j]
-            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[a, j]
+            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[at[3 * a + j]]
     num = np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
     return float(num / den)
 

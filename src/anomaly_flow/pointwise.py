@@ -43,18 +43,31 @@ def det3(m):
     )
 
 
-def adjugate3(m):
-    """Adjugate of (..., 3, 3): adj(m) = det(m) * inv(m), in closed form."""
+def _cofactor_terms(i, j):
+    """Flat indices (p, q, r, s), 3 row + col, with adj(m)[i, j] = m[p] m[q] - m[r] m[s].
+
+    The (j, i) cofactor: rows r0 < r1 other than j, columns c0 < c1 other
+    than i, the two products swapped when i + j is odd.
+    """
+    (r0, r1), (c0, c1) = [[k for k in range(3) if k != x] for x in (j, i)]
+    terms = (3 * r0 + c0, 3 * r1 + c1, 3 * r0 + c1, 3 * r1 + c0)
+    return terms[2:] + terms[:2] if (i + j) % 2 else terms
+
+
+# the cofactor terms of adjugate entry 3 i + j
+_COFACTORS = tuple(_cofactor_terms(i, j) for i in range(3) for j in range(3))
+
+
+def adjugate3(m, entries=range(9)):
+    """Adjugate of (..., 3, 3): adj(m) = det(m) * inv(m), in closed form.
+
+    Works on object arrays too.  Only the entries listed (flat indices
+    3 i + j) are computed, in m's memory layout; the others are zero.
+    """
+    v = [m[..., k // 3, k % 3] for k in range(9)]
     out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
-    out[..., 0, 1] = m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2]
-    out[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
-    out[..., 1, 0] = m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2]
-    out[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
-    out[..., 1, 2] = m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]
-    out[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
-    out[..., 2, 1] = m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1]
-    out[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    for e, (p, q, r, s) in enumerate(_COFACTORS):
+        out[..., e // 3, e % 3] = v[p] * v[q] - v[r] * v[s] if e in entries else 0
     return out
 
 

@@ -480,6 +480,14 @@ def _flow_cfg(tmp_path, command, **spec):
         ("flow-fuyau", {"alpha_prime": float("nan")}, "alpha_p"),
         ("flow-fuyau", {"alpha_prime": float("inf")}, "alpha_p"),
         ("flow-fuyau", {"f": {"modes": [5]}}, "f: each mode"),
+        # non-finite fields and fixture settings are bad input, not a halt at t=0
+        ("flow-fuyau", {"f": {"constant": float("nan")}}, "f must be finite"),
+        ("flow-fuyau", {"mu": {"constant": float("inf")}}, "mu must be finite"),
+        ("flow-fuyau", {"u0": {"constant": float("nan")}}, "u0 must be finite"),
+        ("flow-fuyau", {"f": {"modes": [{"k": [1, 0, 0, 0], "amplitude": [float("nan"), 0]}]}},
+         "f must be finite"),
+        ("flow-torus", {"amplitude": float("nan")}, "amplitude must be finite"),
+        ("flow-torus", {"kmax": 0}, "kmax must be at least 1"),
     ],
 )
 def test_cli_flow_rejects_bad_input(tmp_path, capsys, command, spec, field):

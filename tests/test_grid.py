@@ -1,5 +1,7 @@
 """Spectral calculus on the periodic lattice."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,9 @@ def test_spectral_exactness():
 
 def _band_i_ddbar(grid, wf):
     """i_ddbar_11 of a grid Herm3 field's band coefficients, back on the grid."""
-    ohat = gr.band_forward(grid, gr.comp_first(np.asarray(wf, dtype=complex)))
-    return gr.grid_first(gr.band_inverse(grid, gr.i_ddbar_11(grid, ohat)))
+    reads, writes = gr._iddbar_support(grid.complex_dims)
+    ohat = gr.band_forward(grid, gr.comp_first(np.asarray(wf, dtype=complex)).reshape((9,) + grid.shape)[list(reads)])
+    return gr.grid_first(gr.band_inverse(grid, gr.i_ddbar_11(grid, ohat), rows=writes))
 
 
 def test_i_ddbar_conformal_closed_form():
@@ -111,6 +114,46 @@ def test_d_residual_detects_nonclosed():
 
 def test_d_residual_zero_field():
     assert gr.d_residual_22(G1, np.zeros(G1.shape + (3, 3))) == 0.0
+
+
+def _d_residual_nine(grid, psi_field):
+    """d_residual_22 with all nine components band-transformed, as it was."""
+    conv, hol, ah = gr._d22_tables()
+    dz_syms, dzb_syms = gr._symbols(grid, band=True)
+    psi = gr.comp_first(np.asarray(psi_field, dtype=complex))
+    phat = gr.band_forward(grid, psi - psi[(Ellipsis,) + (slice(1),) * (2 * grid.complex_dims)])
+    comps = np.zeros((6,) + grid.band_shape, dtype=complex)
+    for j in range(grid.complex_dims):
+        for b in range(3):
+            idx, s = hol[j][b]
+            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[j, b]
+        for a in range(3):
+            idx, s = ah[a][j]
+            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[a, j]
+    num = np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
+    return float(num / (2.0 * gr.l2_norm(grid, psi_field)))
+
+
+@pytest.mark.parametrize("grid", [G1, G2], ids=["c1_n64", "c2_n16"])
+def test_d_residual_transforms_only_what_d_reads(grid, monkeypatch):
+    # d reads the components in a row or a column j < c: 5 of 9 at c = 1, 8 at c = 2
+    slabs = []
+    real = gr.band_forward
+
+    def counted(g, f):
+        slabs.append(f.shape[: f.ndim - 2 * g.complex_dims])
+        return real(g, f)
+
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        psi = gr.random_bandlimited_herm3(grid, rng, grid.dealias_kmax, 0.3)
+        psi = psi + 1j * gr.random_bandlimited_herm3(grid, rng, 2, 0.2) + const_herm3(grid, np.eye(3))
+        ref = _d_residual_nine(grid, psi)
+        monkeypatch.setattr(gr, "band_forward", counted)
+        got = gr.d_residual_22(grid, psi)
+        monkeypatch.setattr(gr, "band_forward", real)
+        assert ref > 1e-3 and got == ref  # bit for bit
+    assert slabs == [(5 if grid.complex_dims == 1 else 8,)] * 3
 
 
 def test_chern_curvature_flat():
