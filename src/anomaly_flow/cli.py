@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 
@@ -85,8 +86,14 @@ def run_symbol(cfg: cfgmod.RunConfig) -> int:
         abs_omega = float(spec.get("abs_omega", 1.0))
         if not 0 < abs_omega < np.inf:
             raise ConfigError(f"abs_omega must be positive and finite, got {abs_omega!r}")
-        alphas = [float(a) for a in spec.get("alpha_list", [0.0])]
-        xis = sampling.unit_covectors(int(spec.get("n_dirs", 16)), cfg.seed)
+        alphas = spec.get("alpha_list", [0.0])
+        # JSON numbers only: a bool is no alpha', and a string is no list of them
+        if not (isinstance(alphas, list) and all(type(a) in (int, float) for a in alphas)
+                and all(map(math.isfinite, alphas))):
+            raise ConfigError(f"alpha_list must be a list of finite numbers, got {alphas!r}")
+        alphas = [float(a) for a in alphas]
+        n_dirs = cfgmod.parse_int(spec.get("n_dirs", 16), "symbol.n_dirs")
+        xis = sampling.unit_covectors(n_dirs, cfg.seed)
     rows = []
     for alpha in alphas:
         worst, margin = linearize.ellipticity_check(omega, abs_omega, r, alpha, xis)
@@ -184,13 +191,16 @@ def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
 def run_flow_torus(cfg: cfgmod.RunConfig) -> int:
     with _reading_input():
         spec = cfg.raw.get("torus", {})
+        stationary = spec.get("stationary", False)
+        if not isinstance(stationary, bool):
+            raise ConfigError(f"torus.stationary must be true or false, got {stationary!r}")
         grid = cfgmod.parse_grid(cfg.raw.get("grid", {"complex_dims": 1, "points_per_dim": 64}))
         alpha = float(spec.get("alpha_prime", 0.0))
         abs_omega = float(spec.get("abs_omega", 1.0))
-        seed = int(spec.get("fixture_seed", cfg.seed))
+        seed = cfgmod.parse_int(spec.get("fixture_seed", cfg.seed), "torus.fixture_seed")
         amplitude = float(spec.get("amplitude", 0.05))
-        kmax = int(spec.get("kmax", 3))
-        if spec.get("stationary"):
+        kmax = cfgmod.parse_int(spec.get("kmax", 3), "torus.kmax")
+        if stationary:
             prob = flowmod.make_stationary_torus_problem(
                 grid, abs_omega, alpha, seed, amplitude=amplitude, kmax=kmax
             )

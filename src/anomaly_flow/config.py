@@ -56,6 +56,13 @@ def _check_keys(spec, allowed, where: str = "") -> None:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
+def parse_int(value, name: str) -> int:
+    """The value of the integer key name: a JSON integer, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _one_variant(spec: dict, variants, name: str) -> str:
     """The one variant key a spec sets; only a snapshot may add its grid index "at"."""
     chosen = [key for key in variants if key in spec]
@@ -90,9 +97,9 @@ def load_config(path) -> RunConfig:
     out = raw.get("output", {})
     return RunConfig(
         command=command,
-        seed=int(raw.get("seed", 0)),
+        seed=parse_int(raw.get("seed", 0), "seed"),
         out_dir=str(out.get("dir", ".")),
-        snapshot_interval=int(out.get("snapshot_interval", 0)),
+        snapshot_interval=parse_int(out.get("snapshot_interval", 0), "output.snapshot_interval"),
         raw=raw,
     )
 
@@ -100,8 +107,8 @@ def load_config(path) -> RunConfig:
 def parse_grid(spec: dict) -> PeriodicGrid:
     try:
         return PeriodicGrid(
-            int(spec.get("complex_dims", 1)),
-            int(spec.get("points_per_dim", 16)),
+            parse_int(spec.get("complex_dims", 1), "grid.complex_dims"),
+            parse_int(spec.get("points_per_dim", 16), "grid.points_per_dim"),
             float(spec.get("period", TWO_PI)),
         )
     except (ValueError, TypeError) as exc:
@@ -191,7 +198,9 @@ def parse_curvature(spec, seed, omega) -> np.ndarray:
     variant = _one_variant(
         spec, ("zero", "adversarial", "random", "inline", "snapshot"), "curvature"
     )
-    if variant == "zero" and spec["zero"]:
+    if variant == "zero":
+        if spec["zero"] is not True:
+            raise ConfigError(f"curvature.zero must be true, got {spec['zero']!r}")
         return np.zeros((3, 3, 3, 3), dtype=complex)
     if variant == "adversarial":
         return sampling.trace_curvature(float(spec["adversarial"]))
@@ -200,7 +209,7 @@ def parse_curvature(spec, seed, omega) -> np.ndarray:
         if not isinstance(sub, dict):
             raise ConfigError(f"curvature random spec must be an object, got {sub!r}")
         _check_keys(sub, ("scale", "seed"), "curvature.random.")
-        rng = np.random.default_rng(int(sub.get("seed", seed)))
+        rng = np.random.default_rng(parse_int(sub.get("seed", seed), "curvature.random.seed"))
         scale = float(sub.get("scale", 1.0))
         # reality-respecting relative to the metric it will be used with
         return sampling.random_curvature_for_metric(rng, omega, scale)
@@ -215,9 +224,7 @@ def parse_curvature(spec, seed, omega) -> np.ndarray:
         if arr.shape != (3, 3, 3, 3):
             raise ConfigError(f"R: expected shape (3,3,3,3), got {arr.shape}")
         return arr
-    if variant == "snapshot":
-        return _snapshot_point(spec, KIND_CURV, "curvature", "a curvature")
-    raise ConfigError("curvature spec needs zero, adversarial, random, inline or snapshot")
+    return _snapshot_point(spec, KIND_CURV, "curvature", "a curvature")
 
 
 def parse_time(spec) -> tuple[float, DtControl]:

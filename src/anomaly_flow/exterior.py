@@ -8,7 +8,11 @@ canonically sorted generator tuples to coefficients.  Generators are indexed
     3, 4, 5  ->  dzbar^1, dzbar^2, dzbar^3
 
 and every sign in the package that involves a wedge product is derived from
-this single ordering.  Coefficients may be floats/complex (numeric mode) or
+this single ordering by one rule, ``_sort_sign``: the sign of the
+permutation that sorts a tuple of generators, zero if one repeats.  The
+wedge of two monomials (``_merge``), conjugation and the (2,2) convention
+table all take their signs from it, and every sum of terms is added up by
+one loop, ``_collect``.  Coefficients may be floats/complex (numeric mode) or
 :class:`~anomaly_flow.exact.GaussianRational` (exact mode); the algebra is
 identical in both.
 
@@ -30,6 +34,8 @@ of ``w^3`` is ``3! det w`` (both pinned exactly in the tests).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .exact import GaussianRational, to_exact
@@ -43,25 +49,41 @@ _GEN_NAMES = ["dz1", "dz2", "dz3", "dzb1", "dzb2", "dzb3"]
 _TOP_KEY = (0, 1, 2, 3, 4, 5)
 
 
-def _merge(k1, k2):
-    """Merge two strictly increasing tuples; return (key, sign) or None."""
-    merged = k1 + k2
-    if len(set(merged)) != len(merged):
+def _sort_sign(gens):
+    """(sorted gens, sign of the permutation sorting them); None if a generator repeats.
+
+    The one sign rule of the package: every other sign is computed from it.
+    """
+    if len(set(gens)) != len(gens):
         return None
-    # parity of the permutation sorting the concatenation
-    inv = 0
-    for x in k2:
-        for y in k1:
-            if y > x:
-                inv += 1
-    key = tuple(sorted(merged))
-    return key, (-1 if inv % 2 else 1)
+    inversions = sum(x > y for i, x in enumerate(gens) for y in gens[i + 1 :])
+    return tuple(sorted(gens)), (-1 if inversions % 2 else 1)
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return not bool(c)
-    return c == 0
+@lru_cache(maxsize=None)
+def _merge(k1, k2):
+    """(key, sign) of the wedge of two canonical monomials; None if they share a generator."""
+    return _sort_sign(k1 + k2)
+
+
+def _collect(pairs, start=()):
+    """The MultiVector of the terms start plus the (key, coefficient) pairs, added in order.
+
+    start's coefficients are copied, not added to 0: in Python ``0 + c`` can
+    flip the sign of a zero part of c.  A key whose sum cancels leaves the
+    dict (and re-enters at its end), so the term order, and with it every
+    later floating-point sum, is fixed.
+    """
+    out = dict(start)
+    for key, c in pairs:
+        c = out.get(key, 0) + c
+        if c != 0:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    mv = MultiVector()
+    mv._terms = out
+    return mv
 
 
 class MultiVector:
@@ -70,11 +92,7 @@ class MultiVector:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not _is_zero(coeff):
-                    self._terms[key] = coeff
+        self._terms = {key: c for key, c in (terms or {}).items() if c != 0}
 
     @property
     def terms(self):
@@ -89,77 +107,33 @@ class MultiVector:
     def __add__(self, other):
         if not isinstance(other, MultiVector):
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            c = out.get(key, 0) + coeff
-            if _is_zero(c):
-                out.pop(key, None)
-            else:
-                out[key] = c
-        mv = MultiVector()
-        mv._terms = out
-        return mv
+        return _collect(other._terms.items(), self._terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        mv = MultiVector()
-        mv._terms = {k: -c for k, c in self._terms.items()}
-        return mv
+        return MultiVector({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, MultiVector):
             return NotImplemented
-        mv = MultiVector()
-        for k, c in self._terms.items():
-            p = c * scalar
-            if not _is_zero(p):
-                mv._terms[k] = p
-        return mv
+        return MultiVector({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
-        out = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                m = _merge(k1, k2)
-                if m is None:
-                    continue
-                key, sign = m
-                c = out.get(key, 0) + sign * (c1 * c2)
-                if _is_zero(c):
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-        mv = MultiVector()
-        mv._terms = out
-        return mv
+        return _collect(
+            (m[0], m[1] * (c1 * c2))
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()
+            if (m := _merge(k1, k2)) is not None
+        )
 
     def conjugate(self) -> "MultiVector":
         """Complex conjugation: dz^j <-> dzbar^j, coefficients conjugated."""
-        out = {}
-        for key, coeff in self._terms.items():
-            swapped = tuple((g + 3) % 6 for g in key)
-            skey = tuple(sorted(swapped))
-            # parity of sorting the swapped tuple
-            inv = sum(
-                1
-                for i in range(len(swapped))
-                for j in range(i + 1, len(swapped))
-                if swapped[i] > swapped[j]
-            )
-            sign = -1 if inv % 2 else 1
-            cc = coeff.conjugate() if hasattr(coeff, "conjugate") else coeff
-            c = out.get(skey, 0) + sign * cc
-            if _is_zero(c):
-                out.pop(skey, None)
-            else:
-                out[skey] = c
-        mv = MultiVector()
-        mv._terms = out
-        return mv
+        swapped = ((_sort_sign(tuple((g + 3) % 6 for g in k)), c) for k, c in self._terms.items())
+        return _collect((key, sign * c.conjugate()) for (key, sign), c in swapped)
 
     def __eq__(self, other):
         if not isinstance(other, MultiVector):
@@ -238,19 +212,12 @@ def from_form11(phi) -> MultiVector:
     rows = [[phi[k][j] for j in range(N)] for k in range(N)]
     exact = _entries_exact(rows)
     i_unit = GaussianRational(0, 1) if exact else 1j
-    terms = {}
-    for k in range(N):
-        for j in range(N):
-            c = rows[k][j]
-            if exact:
-                c = to_exact(c)
-            if _is_zero(c):
-                continue
-            key = (j, k + 3)  # dz^{j+1} ^ dzbar^{k+1}, already sorted
-            c = i_unit * c
-            prev = terms.get(key, 0)
-            terms[key] = prev + c
-    return MultiVector(terms)
+    # key (j, k + 3) is dz^{j+1} ^ dzbar^{k+1}, already sorted
+    return _collect(
+        ((j, k + 3), i_unit * (to_exact(rows[k][j]) if exact else rows[k][j]))
+        for k in range(N)
+        for j in range(N)
+    )
 
 
 def _form22_basis():
@@ -265,17 +232,8 @@ def _form22_basis():
     for a in range(N):
         for b in range(N):
             # ordered product dz1^dzb1^dz2^dzb2^dz3^dzb3 with dz^{a+1}, dzbar^{b+1} omitted
-            gens = []
-            for l in range(N):
-                if l != a:
-                    gens.append((l,))
-                if l != b:
-                    gens.append((l + 3,))
-            key: tuple[int, ...] = ()
-            sign = 1
-            for g in gens:
-                key, s = _merge(key, g)
-                sign *= s
+            gens = tuple(g for l in range(N) for g in (l, l + 3) if g not in (a, b + 3))
+            key, sign = _sort_sign(gens)
             sgn = -1 if a > b else 1
             basis[(a, b)] = (key, -2 * sgn * sign)  # i^2 * 2! = -2
     return basis
@@ -291,17 +249,11 @@ def form22_basis():
 
 def from_form22(psi) -> MultiVector:
     """(2,2)-form from the component matrix Q[a, b] = Psi^{a+1, bar{b+1}}."""
-    terms = {}
-    for a in range(N):
-        for b in range(N):
-            q = psi[a][b]
-            if _is_zero(q):
-                continue
-            key, coeff = _FORM22_BASIS[(a, b)]
-            c = coeff * q
-            prev = terms.get(key, 0)
-            terms[key] = prev + c
-    return MultiVector(terms)
+    return _collect((key, coeff * psi[a][b]) for (a, b), (key, coeff) in _FORM22_BASIS.items())
+
+
+def _is_exact(m: MultiVector) -> bool:
+    return any(isinstance(c, GaussianRational) for c in m._terms.values())
 
 
 def to_form22(m: MultiVector):
@@ -311,32 +263,20 @@ def to_form22(m: MultiVector):
     Returns a complex ndarray in numeric mode, an object ndarray of
     GaussianRationals in exact mode.
     """
-    exact = any(isinstance(c, GaussianRational) for c in m._terms.values())
     for key in m._terms:
         if _key_bidegree(key) != (2, 2):
             raise FormDegreeError(
                 f"term {key} has bidegree {_key_bidegree(key)}, expected (2, 2)"
             )
-    if exact:
-        out = np.empty((N, N), dtype=object)
-        for a in range(N):
-            for b in range(N):
-                key, coeff = _FORM22_BASIS[(a, b)]
-                c = m._terms.get(key, None)
-                out[a, b] = GaussianRational(0) if c is None else to_exact(c) / coeff
-        return out
-    out = np.zeros((N, N), dtype=complex)
-    for a in range(N):
-        for b in range(N):
-            key, coeff = _FORM22_BASIS[(a, b)]
-            c = m._terms.get(key, 0)
-            out[a, b] = complex(c) / coeff
+    exact = _is_exact(m)
+    out = np.empty((N, N), dtype=object if exact else complex)
+    for (a, b), (key, coeff) in _FORM22_BASIS.items():
+        c = m._terms.get(key, 0)
+        out[a, b] = to_exact(c) / coeff if exact else complex(c) / coeff
     return out
 
 
-_WEDGE22_TABLE = None
-
-
+@lru_cache(maxsize=None)
 def wedge22_table() -> np.ndarray:
     """Coefficient table for products of two (1,1) monomials.
 
@@ -345,20 +285,16 @@ def wedge22_table() -> np.ndarray:
     product of two (1,1)-forms phi, chi expands as
     ``einsum('kj,ml,jklmab->ab', phi, chi, W)``.  Built once from the oracle.
     """
-    global _WEDGE22_TABLE
-    if _WEDGE22_TABLE is None:
-        w = np.zeros((N, N, N, N, N, N), dtype=complex)
-        for j in range(N):
-            for k in range(N):
-                f1 = 1j * dz(j + 1).wedge(dzbar(k + 1))
-                for l in range(N):
-                    for mm in range(N):
-                        f2 = 1j * dz(l + 1).wedge(dzbar(mm + 1))
-                        prod = f1.wedge(f2)
-                        if not prod.is_zero():
-                            w[j, k, l, mm] = to_form22(prod)
-        _WEDGE22_TABLE = w
-    return _WEDGE22_TABLE
+    w = np.zeros((N, N, N, N, N, N), dtype=complex)
+    for j in range(N):
+        for k in range(N):
+            f1 = 1j * dz(j + 1).wedge(dzbar(k + 1))
+            for l in range(N):
+                for mm in range(N):
+                    prod = f1.wedge(1j * dz(l + 1).wedge(dzbar(mm + 1)))
+                    if not prod.is_zero():
+                        w[j, k, l, mm] = to_form22(prod)
+    return w
 
 
 def top_coefficient(m: MultiVector):
@@ -366,11 +302,9 @@ def top_coefficient(m: MultiVector):
 
     Zero if m has no (3,3) component.
     """
-    c = m._terms.get(_TOP_KEY, None)
-    if c is None:
-        exact = any(isinstance(x, GaussianRational) for x in m._terms.values())
+    exact = _is_exact(m)
+    if _TOP_KEY not in m._terms:
         return GaussianRational(0) if exact else 0j
     # canonical coefficient of the top form is +i; divide it out
-    if isinstance(c, GaussianRational):
-        return c * GaussianRational(0, -1)
-    return complex(c) * (-1j)
+    c = m._terms[_TOP_KEY]
+    return to_exact(c) * GaussianRational(0, -1) if exact else complex(c) * (-1j)

@@ -56,6 +56,7 @@ from .grid import (
     _row_index,
     _wedge_terms,
     along_axis,
+    assert_positive_field,
     band_forward,
     band_inverse,
     comp_first,
@@ -69,7 +70,7 @@ from .grid import (
     chern_curvature,
     tr_r_wedge_r,
 )
-from .pointwise import adjugate3, det3, herm3_min_eig, hermitize, omega_from_psi, psi_from_omega
+from .pointwise import adjugate3, det3, hermitize, omega_from_psi, psi_from_omega
 
 MONITOR_TOL_CLOSED = 1e-8
 BAND_RTOL = 1e-12
@@ -485,12 +486,7 @@ def _torus_gate(psi_field: np.ndarray, prob: TorusProblem):
     nrm = prob.abs_omega**4 / np.real(det3(psi_field))
     if np.any(nrm <= 0):
         raise PositivityError("Psi lost pointwise positivity (det <= 0)")
-    lam_min = herm3_min_eig(omega)
-    tr = np.real(np.trace(omega, axis1=-2, axis2=-1))
-    if np.any(lam_min <= 1e-12 * np.abs(tr)):
-        raise PositivityError(
-            f"omega lost pointwise positivity (min eig {float(lam_min.min()):.3e})"
-        )
+    lam_min = assert_positive_field(omega, "omega")
     min_eig = float(lam_min.min())
     dmax = float((1.0 / (2.0 * nrm * lam_min)).max())
     return dmax, min_eig, omega

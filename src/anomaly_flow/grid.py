@@ -42,7 +42,7 @@ import numpy as np
 
 from . import exterior
 from .errors import PositivityError
-from .pointwise import adjugate3, det3
+from .pointwise import POSITIVITY_EPS, adjugate3, det3, herm3_min_eig
 
 TWO_PI = 2.0 * np.pi
 
@@ -307,13 +307,19 @@ def l2_norm(grid: PeriodicGrid, field: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(np.abs(field) ** 2, axis=comp_axes))))
 
 
-def assert_positive_field(field: np.ndarray, name="field"):
-    eigs = np.linalg.eigvalsh(field)
+def assert_positive_field(field: np.ndarray, name="field") -> np.ndarray:
+    """Least eigenvalue at each point of a Herm3 field (closed form, herm3_min_eig).
+
+    Raises PositivityError naming the field unless it exceeds
+    POSITIVITY_EPS * |trace| everywhere.
+    """
+    lam_min = herm3_min_eig(field)
     tr = np.real(np.trace(field, axis1=-2, axis2=-1))
-    if np.any(eigs[..., 0] <= 1e-12 * np.abs(tr)):
+    if np.any(lam_min <= POSITIVITY_EPS * np.abs(tr)):
         raise PositivityError(
-            f"{name} lost pointwise positivity (min eig {float(eigs[..., 0].min()):.3e})"
+            f"{name} lost pointwise positivity (min eig {float(lam_min.min()):.3e})"
         )
+    return lam_min
 
 
 @lru_cache(maxsize=None)

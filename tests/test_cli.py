@@ -62,11 +62,18 @@ FUYAU_N8 = {"command": "flow-fuyau", "grid": {"complex_dims": 2, "points_per_dim
         ({"command": "symbol", "symbol": {"omega": {"identity": 1.0, "at": [0, 0]}}}, "omega.at"),
         ({"command": "symbol", "symbol": {"omega": {"identity": 1.0, "inline": [[1]]}}},
          "got identity, inline"),
+        # an integer key takes a JSON integer: no float is truncated, no bool is a 1
+        ({"seed": 2.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"output": {"snapshot_interval": 1.5}}, "output.snapshot_interval must be an integer"),
+        ({"grid": {"complex_dims": 1, "points_per_dim": 16.9}}, "grid.points_per_dim must be"),
+        ({"grid": {"complex_dims": True, "points_per_dim": 16}}, "grid.complex_dims must be"),
     ],
 )
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, extra, named):
     # a misspelt or removed key is an input error, not a silently ignored default;
-    # so is a nested spec that sets more than one of its variants
+    # so is a nested spec that sets more than one of its variants, and a value of
+    # the wrong type
     payload = {
         "command": "flow-torus", "seed": 2,
         "grid": {"complex_dims": 1, "points_per_dim": 16},
@@ -253,6 +260,14 @@ def _symbol_cfg(tmp_path, **symbol):
         ({"curvature": 5}, "curvature spec"),
         ({"omega": 5}, "omega spec"),
         ({"curvature": {"random": 5}}, "curvature random spec"),
+        ({"curvature": {"random": {"seed": 1.5}}}, "curvature.random.seed must be an integer"),
+        ({"curvature": {"zero": False}}, "curvature.zero must be true"),
+        ({"n_dirs": True}, "symbol.n_dirs must be an integer"),
+        ({"n_dirs": 4.0}, "symbol.n_dirs must be an integer"),
+        ({"alpha_list": [float("nan")]}, "alpha_list must be a list of finite numbers"),
+        ({"alpha_list": [0.0, float("inf")]}, "alpha_list must be a list of finite numbers"),
+        ({"alpha_list": "0"}, "alpha_list must be a list of finite numbers"),
+        ({"alpha_list": [True]}, "alpha_list must be a list of finite numbers"),
     ],
 )
 def test_cli_symbol_rejects_bad_input(tmp_path, monkeypatch, capsys, symbol, field):
@@ -488,6 +503,11 @@ def _flow_cfg(tmp_path, command, **spec):
          "f must be finite"),
         ("flow-torus", {"amplitude": float("nan")}, "amplitude must be finite"),
         ("flow-torus", {"kmax": 0}, "kmax must be at least 1"),
+        ("flow-torus", {"kmax": 2.7}, "torus.kmax must be an integer"),
+        ("flow-torus", {"fixture_seed": "3"}, "torus.fixture_seed must be an integer"),
+        # stationary is a boolean: neither string runs (or fails in) the other fixture
+        ("flow-torus", {"stationary": "no", "alpha_prime": 0.1}, "torus.stationary"),
+        ("flow-torus", {"stationary": "false", "alpha_prime": 0}, "torus.stationary"),
     ],
 )
 def test_cli_flow_rejects_bad_input(tmp_path, capsys, command, spec, field):

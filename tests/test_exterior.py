@@ -1,5 +1,6 @@
 """Exterior algebra oracle: sign rules, conventions, exact-mode pinning."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,40 @@ def test_graded_anticommutativity(ab, cd):
 def test_associativity(x, y, z):
     a, b, c = x[0], y[0], z[0]
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+
+
+MONOMIALS = [k for r in range(7) for k in itertools.combinations(range(6), r)]
+
+
+def _sorting_sign(gens):
+    """Sign of the permutation sorting distinct gens, from its cycle count."""
+    perm = [sorted(gens).index(g) for g in gens]
+    cycles, seen = 0, set()
+    for start in range(len(perm)):
+        cycles += start not in seen
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+    return (-1) ** (len(perm) - cycles)
+
+
+def test_wedge_sign_of_every_monomial_pair():
+    # absolute signs of all 64 x 64 products, against a parity computed another way
+    assert len(MONOMIALS) == 64
+    for k1, k2 in itertools.product(MONOMIALS, repeat=2):
+        prod = ex.MultiVector({k1: 2}).wedge(ex.MultiVector({k2: 3}))
+        if set(k1) & set(k2):
+            assert prod.is_zero(), (k1, k2)
+        else:
+            assert prod.terms == {tuple(sorted(k1 + k2)): 6 * _sorting_sign(k1 + k2)}, (k1, k2)
+
+
+def test_conjugate_sign_of_every_monomial():
+    for k in MONOMIALS:
+        swapped = tuple((g + 3) % 6 for g in k)
+        got = ex.MultiVector({k: 2 + 3j}).conjugate()
+        assert got.terms == {tuple(sorted(swapped)): _sorting_sign(swapped) * (2 - 3j)}, k
 
 
 def test_from_form11_identity():

@@ -10,6 +10,7 @@ from anomaly_flow import grid as gr
 from anomaly_flow import pointwise as pw
 from anomaly_flow import sampling as samp
 from anomaly_flow.errors import PositivityError
+from anomaly_flow.flow import make_balanced_omega0
 
 G1 = gr.PeriodicGrid(1, 64)
 G2 = gr.PeriodicGrid(2, 16)
@@ -178,6 +179,19 @@ def test_chern_curvature_positivity_gate():
     wf = const_herm3(G1, np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(PositivityError):
         gr.chern_curvature(G1, wf)
+
+
+def test_assert_positive_field_returns_the_least_eigenvalue():
+    # the metric of the c = 2 stationary fixture: the closed form against LAPACK
+    omega = make_balanced_omega0(G2, 1.0, 11, amplitude=0.04, kmax=3)
+    lam = gr.assert_positive_field(omega, "omega")
+    ref = np.linalg.eigvalsh(omega)[..., 0]
+    assert lam.shape == G2.shape
+    assert np.all(np.abs(lam - ref) <= 1e-12 * np.abs(ref))
+    bad = omega.copy()
+    bad[3, 5, 7, 2] = np.diag([1.0, -0.5, 2.0])
+    with pytest.raises(PositivityError, match="probe field lost pointwise positivity"):
+        gr.assert_positive_field(bad, "probe field")
 
 
 def test_chern_curvature_spectral_convergence():
