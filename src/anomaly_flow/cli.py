@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 
@@ -83,17 +82,11 @@ def run_symbol(cfg: cfgmod.RunConfig) -> int:
         spec = cfg.raw.get("symbol", {})
         omega = cfgmod.parse_omega_point(spec.get("omega"))
         r = cfgmod.parse_curvature(spec.get("curvature"), seed=cfg.seed, omega=omega)
-        abs_omega = float(spec.get("abs_omega", 1.0))
+        abs_omega = spec.get("abs_omega", 1.0)
         if not 0 < abs_omega < np.inf:
             raise ConfigError(f"abs_omega must be positive and finite, got {abs_omega!r}")
         alphas = spec.get("alpha_list", [0.0])
-        # JSON numbers only: a bool is no alpha', and a string is no list of them
-        if not (isinstance(alphas, list) and all(type(a) in (int, float) for a in alphas)
-                and all(map(math.isfinite, alphas))):
-            raise ConfigError(f"alpha_list must be a list of finite numbers, got {alphas!r}")
-        alphas = [float(a) for a in alphas]
-        n_dirs = cfgmod.parse_int(spec.get("n_dirs", 16), "symbol.n_dirs")
-        xis = sampling.unit_covectors(n_dirs, cfg.seed)
+        xis = sampling.unit_covectors(spec.get("n_dirs", 16), cfg.seed)
     rows = []
     for alpha in alphas:
         worst, margin = linearize.ellipticity_check(omega, abs_omega, r, alpha, xis)
@@ -171,16 +164,14 @@ def _snapshot_writer(cfg, grid, kind, label):
 def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
     with _reading_input():
         spec = cfg.raw.get("fuyau", {})
-        grid = cfgmod.parse_grid(cfg.raw.get("grid", {"complex_dims": 2, "points_per_dim": 16}))
+        grid = cfgmod.parse_grid(cfg.raw.get("grid", {}), {"complex_dims": 2, "points_per_dim": 16})
         prob = flowmod.FuYauProblem(
             grid,
-            float(spec.get("alpha_prime", 0.0)),
+            spec.get("alpha_prime", 0.0),
             cfgmod.materialize_scalar(grid, spec.get("f"), "f"),
             cfgmod.materialize_scalar(grid, spec.get("mu"), "mu"),
         )
-        u0 = None
-        if "u0" in spec:
-            u0 = prob.initial_state(cfgmod.materialize_scalar(grid, spec["u0"], "u0"))
+        u0 = prob.initial_state(cfgmod.materialize_scalar(grid, spec.get("u0"), "u0"))
         t_final, ctrl = cfgmod.parse_time(cfg.raw.get("time"))
     hist = flowmod.fu_yau_run(
         prob, t_final, ctrl, u0=u0, on_step=_snapshot_writer(cfg, grid, KIND_SCALAR_REAL, "u")
@@ -191,16 +182,13 @@ def run_flow_fuyau(cfg: cfgmod.RunConfig) -> int:
 def run_flow_torus(cfg: cfgmod.RunConfig) -> int:
     with _reading_input():
         spec = cfg.raw.get("torus", {})
-        stationary = spec.get("stationary", False)
-        if not isinstance(stationary, bool):
-            raise ConfigError(f"torus.stationary must be true or false, got {stationary!r}")
-        grid = cfgmod.parse_grid(cfg.raw.get("grid", {"complex_dims": 1, "points_per_dim": 64}))
-        alpha = float(spec.get("alpha_prime", 0.0))
-        abs_omega = float(spec.get("abs_omega", 1.0))
-        seed = cfgmod.parse_int(spec.get("fixture_seed", cfg.seed), "torus.fixture_seed")
-        amplitude = float(spec.get("amplitude", 0.05))
-        kmax = cfgmod.parse_int(spec.get("kmax", 3), "torus.kmax")
-        if stationary:
+        grid = cfgmod.parse_grid(cfg.raw.get("grid", {}), {"complex_dims": 1, "points_per_dim": 64})
+        alpha = spec.get("alpha_prime", 0.0)
+        abs_omega = spec.get("abs_omega", 1.0)
+        seed = spec.get("fixture_seed", cfg.seed)
+        amplitude = spec.get("amplitude", 0.05)
+        kmax = spec.get("kmax", 3)
+        if spec.get("stationary", False):
             prob = flowmod.make_stationary_torus_problem(
                 grid, abs_omega, alpha, seed, amplitude=amplitude, kmax=kmax
             )

@@ -25,44 +25,32 @@ KIND_HERM3 = 2
 KIND_PSI22 = 3
 KIND_CURV = 4
 
-_TENSOR_SHAPE = {
-    KIND_SCALAR_REAL: (),
-    KIND_SCALAR_COMPLEX: (),
-    KIND_HERM3: (3, 3),
-    KIND_PSI22: (3, 3),
-    KIND_CURV: (3, 3, 3, 3),
-}
-_IS_COMPLEX = {
-    KIND_SCALAR_REAL: False,
-    KIND_SCALAR_COMPLEX: True,
-    KIND_HERM3: True,
-    KIND_PSI22: True,
-    KIND_CURV: True,
+# kind -> (tensor axes, little-endian element type); a complex128 element is
+# the f64 pair (re, im), so "<c16" reads and writes exactly the layout above
+_KINDS = {
+    KIND_SCALAR_REAL: ((), "<f8"),
+    KIND_SCALAR_COMPLEX: ((), "<c16"),
+    KIND_HERM3: ((3, 3), "<c16"),
+    KIND_PSI22: ((3, 3), "<c16"),
+    KIND_CURV: ((3, 3, 3, 3), "<c16"),
 }
 
 _HEADER = struct.Struct("<4sIIIId")
 
 
 def write_snapshot(path, grid: PeriodicGrid, field: np.ndarray, kind: int) -> None:
-    if kind not in _TENSOR_SHAPE:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown snapshot kind {kind}")
-    expected = grid.shape + _TENSOR_SHAPE[kind]
-    if tuple(field.shape) != expected:
-        raise ConfigError(f"field shape {field.shape} does not match {expected}")
+    tensor, dtype = _KINDS[kind]
+    if tuple(field.shape) != grid.shape + tensor:
+        raise ConfigError(f"field shape {field.shape} does not match {grid.shape + tensor}")
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(
                 MAGIC, VERSION, kind, grid.complex_dims, grid.points_per_dim, grid.period
             )
         )
-        if _IS_COMPLEX[kind]:
-            data = np.ascontiguousarray(field, dtype=complex)
-            inter = np.empty(data.shape + (2,), dtype="<f8")
-            inter[..., 0] = data.real
-            inter[..., 1] = data.imag
-            fh.write(inter.tobytes())
-        else:
-            fh.write(np.ascontiguousarray(field, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field, dtype=dtype).tobytes())
 
 
 def read_snapshot(path):
@@ -76,16 +64,11 @@ def read_snapshot(path):
             raise ConfigError("not an ANMF snapshot")
         if version != VERSION:
             raise ConfigError(f"unsupported snapshot version {version}")
-        if kind not in _TENSOR_SHAPE:
+        if kind not in _KINDS:
             raise ConfigError(f"unknown snapshot kind {kind}")
         grid = PeriodicGrid(cdims, n, period)
-        shape = grid.shape + _TENSOR_SHAPE[kind]
+        tensor, dtype = _KINDS[kind]
         raw = fh.read()
-    if len(raw) != 8 * (2 if _IS_COMPLEX[kind] else 1) * math.prod(shape):
+    if len(raw) != np.dtype(dtype).itemsize * math.prod(grid.shape + tensor):
         raise ConfigError("snapshot data size does not match header")
-    if _IS_COMPLEX[kind]:
-        flat = np.frombuffer(raw, dtype="<f8").reshape(shape + (2,))
-        field = flat[..., 0] + 1j * flat[..., 1]
-    else:
-        field = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return grid, field, kind
+    return grid, np.frombuffer(raw, dtype=dtype).reshape(grid.shape + tensor).copy(), kind

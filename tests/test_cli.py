@@ -68,6 +68,12 @@ FUYAU_N8 = {"command": "flow-fuyau", "grid": {"complex_dims": 2, "points_per_dim
         ({"output": {"snapshot_interval": 1.5}}, "output.snapshot_interval must be an integer"),
         ({"grid": {"complex_dims": 1, "points_per_dim": 16.9}}, "grid.points_per_dim must be"),
         ({"grid": {"complex_dims": True, "points_per_dim": 16}}, "grid.complex_dims must be"),
+        # a number key takes a JSON number, and a path a string: no bool or string is read as one
+        ({"grid": {"complex_dims": 1, "points_per_dim": 16, "period": "6.0"}},
+         "grid.period must be a number"),
+        ({"time": {"t_final": "0.004"}}, "time.t_final must be a number"),
+        ({"time": {"t_final": 0.004, "dt_fixed": True}}, "time.dt_fixed must be a number or null"),
+        ({"output": {"dir": 5}}, "output.dir must be a string"),
     ],
 )
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, extra, named):
@@ -85,6 +91,61 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys, extra, named):
     assert named in capsys.readouterr().err
     assert not (tmp_path / "monitors.csv").exists()
     assert not (tmp_path / "symbol_report.csv").exists()
+
+
+# values of another kind for each kind of section key: a bool or a string is no
+# number, a float no integer, a string no boolean, a number no path; a nested spec
+# is read by its parser, which the tests above cover
+WRONG_KIND = {
+    "integer": [True, 1.5],
+    "number": [True, "1"],
+    "number or null": [True, "1"],
+    "boolean": ["true", 1],
+    "string": [5],
+    "list of finite numbers": ["0", [True]],
+    "nested spec": [],
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [(section, key, value) for section, kinds in cfgmod.SECTIONS.items()
+     for key, kind in kinds.items() for value in WRONG_KIND[kind]],
+)
+def test_every_section_key_rejects_a_value_of_another_kind(tmp_path, capsys, section, key, value):
+    # generated from the schema, so a key added to SECTIONS cannot skip its type check;
+    # a verify run reads no section, so only load_config can reject the value
+    payload = {"command": "verify", "output": {"dir": str(tmp_path)}}
+    payload[section] = {**payload.get(section, {}), key: value}
+    cfg = write_cfg(tmp_path / "w.json", payload)
+    assert cli.main(["verify", "--config", cfg]) == cli.EXIT_INPUT_ERROR
+    assert f"{section}.{key} must be a" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.csv").exists()
+
+
+def test_readme_key_table_matches_the_schema():
+    # each section key appears in the README's key table with the kind SECTIONS gives it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cells = [line.strip("|").split("|") for line in readme.splitlines() if line.startswith("| `")]
+    table = {row[0].strip(" `"): row[1].strip() for row in cells}
+    for section, kinds in cfgmod.SECTIONS.items():
+        for key, kind in kinds.items():
+            assert table.get(f"{section}.{key}") == kind, f"{section}.{key}"
+
+
+def test_partial_grid_section_takes_the_command_defaults(tmp_path):
+    # a key the grid section leaves out has the command's default, as if the section were absent
+    for command, grid, final, expected in (
+        ("flow-fuyau", {"points_per_dim": 8}, "u_final.anmf", PeriodicGrid(2, 8)),
+        ("flow-torus", {"complex_dims": 1}, "psi_final.anmf", PeriodicGrid(1, 64)),
+    ):
+        out = tmp_path / command
+        cfg = write_cfg(tmp_path / f"{command}.json", {
+            "command": command, "grid": grid, "output": {"dir": str(out)},
+            "time": {"t_final": 0.002, "dt_fixed": 0.002},
+        })
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_OK, command
+        assert snap.read_snapshot(out / final)[0] == expected
 
 
 def test_materialize_scalar_modes_and_band_limit():
@@ -135,6 +196,11 @@ def test_snapshot_roundtrip_exact(tmp_path):
     _, u2, kind = snap.read_snapshot(path)
     assert kind == snap.KIND_SCALAR_REAL
     np.testing.assert_array_equal(u, u2)
+    # every real and imaginary part comes back bit for bit: signed zeros, infinities and NaN too
+    parts = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5], size=g.shape + (3, 3, 2))
+    special = parts.view(complex)[..., 0]
+    snap.write_snapshot(path, g, special, snap.KIND_PSI22)
+    assert snap.read_snapshot(path)[1].tobytes() == special.tobytes()
 
 
 def test_snapshot_rejects_truncated_and_padded_data(tmp_path):
@@ -268,6 +334,17 @@ def _symbol_cfg(tmp_path, **symbol):
         ({"alpha_list": [0.0, float("inf")]}, "alpha_list must be a list of finite numbers"),
         ({"alpha_list": "0"}, "alpha_list must be a list of finite numbers"),
         ({"alpha_list": [True]}, "alpha_list must be a list of finite numbers"),
+        # every nested value has its kind too: no bool or string is a number, no float an index
+        ({"abs_omega": True}, "symbol.abs_omega must be a number"),
+        ({"omega": {"identity": True}}, "omega.identity must be a number"),
+        ({"curvature": {"random": {"scale": True}}}, "curvature.random.scale must be a number"),
+        ({"curvature": {"adversarial": "5"}}, "curvature.adversarial must be a number"),
+        ({"omega": {"inline": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+         "omega.inline must be a complex number, got True"),
+        ({"omega": {"inline": [[1, 0, 0], [0, 1], [0, 0, 1]]}}, "omega.inline must be nested lists"),
+        ({"curvature": {"inline": 5}}, "curvature.inline must be nested lists of shape (3, 3, 3, 3)"),
+        ({"omega": {"snapshot": "herm3.anmf", "at": [0.5, 0]}}, "omega.at must be a list of integers"),
+        ({"omega": {"snapshot": 0}}, "omega.snapshot must be a string"),
     ],
 )
 def test_cli_symbol_rejects_bad_input(tmp_path, monkeypatch, capsys, symbol, field):
@@ -508,6 +585,22 @@ def _flow_cfg(tmp_path, command, **spec):
         # stationary is a boolean: neither string runs (or fails in) the other fixture
         ("flow-torus", {"stationary": "no", "alpha_prime": 0.1}, "torus.stationary"),
         ("flow-torus", {"stationary": "false", "alpha_prime": 0}, "torus.stationary"),
+        # a bool or a string is no number, a float no wavevector entry, [re] no complex number
+        ("flow-fuyau", {"alpha_prime": True}, "fuyau.alpha_prime must be a number"),
+        ("flow-fuyau", {"alpha_prime": "0.05"}, "fuyau.alpha_prime must be a number"),
+        ("flow-fuyau", {"mu": True}, "mu must be a number"),
+        ("flow-fuyau", {"mu": {"constant": True}}, "mu.constant must be a number"),
+        ("flow-fuyau", {"u0": {"modes": [{"k": [1, 0, 0, 0], "amplitude": "0.01+0j"}]}},
+         "u0 mode.amplitude must be a complex number"),
+        ("flow-fuyau", {"u0": {"modes": [{"k": [1, 0, 0, 0], "amplitude": [0.01]}]}},
+         "u0 mode.amplitude must be a complex number"),
+        ("flow-fuyau", {"u0": {"modes": [{"k": [1.9, 0, 0, 0], "amplitude": [0.01, 0]}]}},
+         "u0 mode.k must be a list of integers"),
+        ("flow-fuyau", {"u0": {"modes": [{"k": 5, "amplitude": [0.01, 0]}]}},
+         "u0 mode.k must be a list of integers"),
+        ("flow-fuyau", {"u0": {"modes": 5}}, "u0.modes must be a list"),
+        ("flow-torus", {"abs_omega": "1"}, "torus.abs_omega must be a number"),
+        ("flow-torus", {"amplitude": True}, "torus.amplitude must be a number"),
     ],
 )
 def test_cli_flow_rejects_bad_input(tmp_path, capsys, command, spec, field):
