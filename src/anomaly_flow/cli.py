@@ -231,7 +231,7 @@ def main(argv=None) -> int:
                     f"config command {cfg.command!r} does not match CLI command {args.command!r}"
                 )
             if args.seed is not None:
-                cfg.seed = args.seed
+                cfg.seed = cfgmod._read(args.seed, "integer >= 0", "--seed")
             if args.out is not None:
                 cfg.out_dir = args.out
             os.makedirs(cfg.out_dir, exist_ok=True)

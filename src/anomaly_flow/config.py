@@ -36,6 +36,7 @@ _NUMBER = (int, float)  # the JSON numbers: a bool is no number
 # README's key table name the kinds
 _KINDS = {
     "integer": (lambda v: type(v) is int, None),
+    "integer >= 0": (lambda v: type(v) is int and v >= 0, None),
     "number": (lambda v: type(v) in _NUMBER, float),
     "number or null": (lambda v: v is None or type(v) in _NUMBER, float),
     "boolean": (lambda v: type(v) is bool, None),
@@ -66,7 +67,7 @@ SECTIONS = {
     "symbol": {"omega": "nested spec", "curvature": "nested spec", "abs_omega": "number",
                "alpha_list": "list of finite numbers", "n_dirs": "integer"},
     "fuyau": {"alpha_prime": "number", "f": "nested spec", "mu": "nested spec", "u0": "nested spec"},
-    "torus": {"alpha_prime": "number", "abs_omega": "number", "fixture_seed": "integer",
+    "torus": {"alpha_prime": "number", "abs_omega": "number", "fixture_seed": "integer >= 0",
               "amplitude": "number", "kmax": "integer", "stationary": "boolean"},
 }
 
@@ -136,7 +137,7 @@ def load_config(path) -> RunConfig:
     raw |= {name: _section(name, spec) for name, spec in sections.items()}
     return RunConfig(
         command=command,
-        seed=_read(raw.get("seed", 0), "integer", "seed"),
+        seed=_read(raw.get("seed", 0), "integer >= 0", "seed"),
         out_dir=raw["output"].get("dir", "."),
         snapshot_interval=raw["output"].get("snapshot_interval", 0),
         raw=raw,
@@ -224,7 +225,8 @@ def parse_curvature(spec, seed, omega) -> np.ndarray:
     if variant == "random":
         sub = _read(spec["random"], "object", "curvature random spec")
         _check_keys(sub, ("scale", "seed"), "curvature.random.")
-        rng = np.random.default_rng(_read(sub.get("seed", seed), "integer", "curvature.random.seed"))
+        seed = _read(sub.get("seed", seed), "integer >= 0", "curvature.random.seed")
+        rng = np.random.default_rng(seed)
         scale = _read(sub.get("scale", 1.0), "number", "curvature.random.scale")
         # reality-respecting relative to the metric it will be used with
         return sampling.random_curvature_for_metric(rng, omega, scale)

@@ -59,8 +59,8 @@ class PeriodicGrid:
             raise ValueError(f"complex_dims must be 1 or 2, got {c}")
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_dim must be a power of two >= 8, got {n}")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:

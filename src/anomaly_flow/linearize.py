@@ -13,17 +13,20 @@ in a Frobenius-orthonormal basis and eigenvalues are those of that matrix
 the README's k -> xi map, under which the torus flow's linear part at a
 constant metric with a' = 0 is -sigma(xi).
 
-Each covector is one stacked pass: the form arguments of rm_apply, wedge_xi_extract,
-delta_tilde_symbol and coupled_symbol broadcast over leading axes, so restricted_symbol,
-proposition_norm and coupled_symbol_matrix map the whole kernel basis (and the bundle
-directions) in one call; omega is checked and inverted a fixed number of times per call,
-not once per kernel element.
+One stacking rule, as in pointwise: the symbol functions broadcast over
+leading point axes, xi (..., 3), omega (..., 3, 3), abs_omega and alpha_p
+(...), r (..., 3, 3, 3, 3), f (..., 3, 3, n, n) and h (..., n, n); a kernel
+basis or a stack of forms puts its own axis first, (4, ..., 3, 3), and the
+reports hold one value per point.  One call checks omega once and inverts it a
+fixed number of times, however many points it holds; the sweep,
+ellipticity_check, calls them one direction at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -31,35 +34,47 @@ from . import exterior
 from .errors import DegenerateInputError, ProjectionResidualError
 from .pointwise import (
     assert_positive,
+    det3,
     hodge_star22,
     inner11,
     inv3,
-    norm_omega,
     tilde_star,
 )
 
 KERNEL_TOL = 1e-10
+# the point axes of omega, abs_omega, r, alpha_p, f and h are shape[:stop]
+_POINT_STOPS = (-2, None, -4, None, -4, -2)
 
 
 @dataclass
 class SymbolReport:
+    """Per point: arrays for a stack; for one point a float min_real_part and a bool elliptic."""
+
     eigenvalues: np.ndarray
-    min_real_part: float
-    elliptic: bool
-    kernel_dim: int = 4
+    min_real_part: np.ndarray
+    elliptic: np.ndarray
+    kernel_dim: int
 
 
-def xi_norm_sq(xi, omega) -> float:
+def xi_norm_sq(xi, omega):
     """|xi|^2 with respect to omega: omega^{j kbar} xi_j conj(xi_k)."""
     p = inv3(omega)
-    return float(np.real(np.einsum("jk,j,k->", p, xi, np.conj(xi))))
+    return np.real(np.einsum("...jk,...j,...k->...", p, xi, np.conj(xi)))
 
 
-def _check_xi(xi) -> np.ndarray:
+def _check_xi(xi, *args) -> np.ndarray:
+    """xi, checked and broadcast over the point axes of the symbol arguments args, if given
+    (omega, abs_omega, r, alpha_p[, f, h]), so that a kernel axis put before them lines up."""
     xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (3,) or np.linalg.norm(xi) < 1e-14:
+    if xi.shape[-1:] != (3,) or np.count_nonzero(np.linalg.norm(xi, axis=-1) < 1e-14):
         raise DegenerateInputError("covector must be a nonzero complex 3-vector")
-    return xi
+    shapes = {xi.shape[:-1]} | {np.asarray(a).shape[:stop] for a, stop in zip(args, _POINT_STOPS)}
+    return xi if len(shapes) == 1 else np.broadcast_to(xi, np.broadcast_shapes(*shapes) + (3,))
+
+
+def _kernel_scale(xi, omega, abs_omega):
+    """|xi|^2 / (2 ||Omega||_omega), the symbol on the kernel at a' = 0; omega checked by the caller."""
+    return xi_norm_sq(xi, omega) * np.sqrt(np.real(det3(omega))) / (2.0 * np.asarray(abs_omega))
 
 
 def rm_apply(r, domega, omega):
@@ -68,80 +83,67 @@ def rm_apply(r, domega, omega):
     The index is raised with omega: R_{kbar j}^{p qbar} = R_{kbar j}^p_s omega^{s qbar}.
     """
     p = inv3(omega)
-    return np.einsum("kjps,sq,...qp->...kj", r, p, domega)
+    return np.einsum("...kjps,...sq,...qp->...kj", r, p, domega)
 
 
 @lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Frobenius-orthonormal real basis (dim^2, dim, dim) of Hermitian matrices; read-only."""
-    basis = []
-    for a in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[a, a] = 1.0
-        basis.append(e)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            s = np.zeros((dim, dim), dtype=complex)
-            s[a, b] = s[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(s)
-            k = np.zeros((dim, dim), dtype=complex)
-            k[a, b] = 1j / np.sqrt(2.0)
-            k[b, a] = -1j / np.sqrt(2.0)
-            basis.append(k)
+    eye = np.eye(dim, dtype=complex)
+    basis = [np.outer(e, e) for e in eye]
+    for a, b in combinations(range(dim), 2):
+        e = np.outer(eye[a], eye[b]) / np.sqrt(2.0)
+        basis += [e + e.T, 1j * (e - e.T)]
     basis = np.stack(basis)
     basis.flags.writeable = False
     return basis
 
 
 def d_symbol_kernel(xi) -> np.ndarray:
-    """Frobenius-orthonormal real basis (4, 3, 3) of {Hermitian dPsi : xi_j dPsi^{j kbar} = 0}.
+    """Frobenius-orthonormal real basis (4, ..., 3, 3) of {Hermitian dPsi : xi_j dPsi^{j kbar} = 0}.
 
     The constraint is dPsi @ conj(xi) = 0, so the kernel is carried by the
-    2x2 Hermitian block on the orthogonal complement of conj(xi); its real
-    dimension is 4 for every xi != 0.
+    2x2 Hermitian block on the orthogonal complement of v = conj(xi)/|xi|; its
+    real dimension is 4 for every xi != 0.  The complement's frame, in closed
+    form: the last two columns of the Householder reflection
+    I - w w^H / (1 + |v_1|), w = v + (v_1/|v_1|) e_1, which maps e_1 to a multiple of v.
     """
     xi = _check_xi(xi)
-    v = np.conj(xi)
-    v = v / np.linalg.norm(v)
-    # deterministic Gram-Schmidt completion of v to a unitary frame
-    cols = [v]
-    for e in np.eye(3, dtype=complex):
-        w = e - sum(c * np.vdot(c, e) for c in cols)
-        nw = np.linalg.norm(w)
-        if nw > 1e-7:
-            cols.append(w / nw)
-        if len(cols) == 3:
-            break
-    u1 = np.stack(cols[1:], axis=1)  # 3x2, orthogonal complement of v
-    return u1 @ hermitian_basis(2) @ u1.conj().T
+    v = np.conj(xi) / np.linalg.norm(xi, axis=-1, keepdims=True)
+    eye = np.eye(3)
+    w = v + eye[0] * np.exp(1j * np.angle(v[..., :1]))
+    u = eye[:, 1:] - w[..., :, None] * np.conj(w[..., None, 1:]) / (1.0 + np.abs(v[..., :1, None]))
+    return np.einsum("...ia,bac,...jc->b...ij", u, hermitian_basis(2), np.conj(u))
 
 
 def wedge_xi_extract(xi, phi) -> np.ndarray:
     """Components of i xi ^ xibar ^ phi for (1,1)-forms phi, shape (..., 3, 3) (oracle-pinned)."""
     xi, phi = np.asarray(xi, dtype=complex), np.asarray(phi, dtype=complex)
-    # the 9x9 map from phi's entries (m, l) to the components (a, b), for this xi
-    x = np.einsum("j,k,jklmab->mlab", xi, np.conj(xi), exterior.wedge22_table()).reshape(9, 9)
-    return (phi.reshape(phi.shape[:-2] + (9,)) @ x).reshape(phi.shape)
+    # the 9x9 map from phi's entries (m, l) to the components (a, b), per xi
+    x = np.einsum("...j,...k,jklmab->...mlab", xi, np.conj(xi), exterior.wedge22_table())
+    out = phi.reshape(phi.shape[:-2] + (1, 9)) @ x.reshape(x.shape[:-4] + (9, 9))
+    return out.reshape(out.shape[:-2] + (3, 3))
 
 
 def delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, dpsi) -> np.ndarray:
     """sigma(xi) dPsi = i xi ^ xibar ^ (tilde_star dPsi - 2 a' Rm(tilde_star dPsi))."""
     xi = _check_xi(xi)
-    ts = tilde_star(dpsi, omega, abs_omega)
-    arg = ts if alpha_p == 0 else ts - 2.0 * alpha_p * rm_apply(r, ts, omega)
-    return wedge_xi_extract(xi, arg)
+    ts = tilde_star(dpsi, omega, abs_omega)  # checks omega
+    if np.count_nonzero(alpha_p):
+        ts = ts - 2.0 * np.asarray(alpha_p)[..., None, None] * rm_apply(r, ts, omega)
+    return wedge_xi_extract(xi, ts)
 
 
 def _project_onto(basis, x, floor, tol, what):
-    """Real Frobenius coordinates (len(x), len(basis)) of the images x; error if one leaves
-    their span, by its residual against its own scale max(its largest entry, floor)."""
-    coords = np.einsum("nij,bji->nb", x, basis).real
-    res = np.abs(x - np.einsum("nb,bij->nij", coords, basis)).max(axis=(1, 2))
-    scale = np.maximum(np.abs(x).max(axis=(1, 2)), floor)
-    bad = np.flatnonzero(res > tol * scale)
-    if bad.size:
-        j = bad[0]
-        raise ProjectionResidualError(f"{what} {j} leaves the d-symbol kernel "
+    """Real Frobenius coordinates (..., len(basis), len(x)) of the images x in basis; error
+    if one leaves their span, by its residual against its own scale max(its largest entry, floor)."""
+    coords = np.einsum("n...ij,b...ji->...bn", x, basis).real
+    res = np.abs(x - np.einsum("...bn,b...ij->n...ij", coords, basis)).max(axis=(-2, -1))
+    scale = np.maximum(np.abs(x).max(axis=(-2, -1)), floor)
+    bad = res > tol * scale
+    if bad.any():
+        j = tuple(np.argwhere(bad)[0].tolist())  # (image, *point)
+        raise ProjectionResidualError(f"{what} {j[0]} leaves the d-symbol kernel at point {j[1:]} "
                                       f"(residual {res[j]:.3e}, scale {scale[j]:.3e})")
     return coords
 
@@ -154,17 +156,14 @@ def restricted_symbol(xi, omega, abs_omega, r, alpha_p) -> SymbolReport:
     kernel (to KERNEL_TOL, relative).  Verdict: all eigenvalue real parts
     strictly positive.
     """
-    xi = _check_xi(xi)
-    nrm = float(norm_omega(omega, abs_omega))  # checks omega
+    xi = _check_xi(xi, omega, abs_omega, r, alpha_p)
     basis = d_symbol_kernel(xi)
-    scale = xi_norm_sq(xi, omega) / (2.0 * nrm)
     img = delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, basis)
-    mat = _project_onto(basis, img, scale, KERNEL_TOL, "symbol image").T
-    eigs = np.linalg.eigvals(mat)
-    min_re = float(eigs.real.min())
-    return SymbolReport(
-        eigenvalues=eigs, min_real_part=min_re, elliptic=bool(min_re > 0.0)
-    )
+    scale = _kernel_scale(xi, omega, abs_omega)
+    eigs = np.linalg.eigvals(_project_onto(basis, img, scale, KERNEL_TOL, "symbol image"))
+    min_re = eigs.real.min(axis=-1)
+    min_re = min_re.item() if min_re.ndim == 0 else min_re  # one point: a plain float
+    return SymbolReport(eigs, min_re, min_re > 0.0, len(basis))
 
 
 def ellipticity_check(omega, abs_omega, r, alpha_p, xis) -> tuple[SymbolReport, float]:
@@ -176,33 +175,29 @@ def ellipticity_check(omega, abs_omega, r, alpha_p, xis) -> tuple[SymbolReport, 
     """
     if len(xis) == 0:
         raise DegenerateInputError("the sweep needs at least one covector direction")
-    worst = None
-    margin = np.inf
+    reports, margins = [], []
     for xi in xis:
-        rep = restricted_symbol(xi, omega, abs_omega, r, alpha_p)
-        if worst is None or rep.min_real_part < worst.min_real_part:
-            worst = rep
-        norm = proposition_norm(xi, omega, abs_omega, r, alpha_p)
-        margin = min(margin, xi_norm_sq(xi, omega) - norm)
-    return worst, margin
+        reports.append(restricted_symbol(xi, omega, abs_omega, r, alpha_p))
+        margins.append(xi_norm_sq(xi, omega) - proposition_norm(xi, omega, abs_omega, r, alpha_p))
+    return min(reports, key=lambda rep: rep.min_real_part), min(margins)
 
 
-def proposition_norm(xi, omega, abs_omega, r, alpha_p) -> float:
-    """Operator norm of the curvature perturbation on the d-symbol kernel.
+def proposition_norm(xi, omega, abs_omega, r, alpha_p):
+    """Operator norm of the curvature perturbation on the d-symbol kernel, per point.
 
     The operator is dPsi -> -i xi ^ xibar ^ 2 a' Rm(<star dPsi, w> w - star dPsi),
     measured in the Frobenius-induced norm; a value < |xi|^2 guarantees the
     elliptic verdict of restricted_symbol.
     """
-    xi = _check_xi(xi)
-    assert_positive(omega, "omega")
-    if alpha_p == 0:
-        return 0.0
-    star = hodge_star22(d_symbol_kernel(xi), omega)
-    arg = np.real(inner11(star, omega, omega))[:, None, None] * omega - star
-    img = -2.0 * alpha_p * wedge_xi_extract(xi, rm_apply(r, arg, omega))
-    rows = np.concatenate([img.real, img.imag], axis=1).reshape(len(img), -1)
-    return float(np.linalg.svd(rows, compute_uv=False)[0])
+    xi = _check_xi(xi, omega, abs_omega, r, alpha_p)
+    if not np.count_nonzero(alpha_p):
+        assert_positive(omega, "omega")
+        return np.zeros(xi.shape[:-1])[()]
+    star = hodge_star22(d_symbol_kernel(xi), omega)  # checks omega
+    arg = np.real(inner11(star, omega, omega))[..., None, None] * omega - star
+    img = -2.0 * np.asarray(alpha_p)[..., None, None] * wedge_xi_extract(xi, rm_apply(r, arg, omega))
+    rows = np.concatenate([img.real, img.imag], axis=-1).reshape(img.shape[:-2] + (18,))
+    return np.linalg.norm(rows, 2, axis=(0, -1))  # the largest singular value at each point
 
 
 def coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, dpsi, dh):
@@ -215,10 +210,10 @@ def coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, dpsi, dh):
     """
     xi = _check_xi(xi)
     assert_positive(h, "H")
-    tr_form = np.einsum("kjab,bc,...ca->...kj", f, np.linalg.inv(h), dh)
+    tr_form = np.einsum("...kjab,...bc,...ca->...kj", f, np.linalg.inv(h), dh)
     first = delta_tilde_symbol(xi, omega, abs_omega, r, alpha_p, dpsi)
-    first = first + 2.0 * alpha_p * wedge_xi_extract(xi, tr_form)
-    second = xi_norm_sq(xi, omega) * np.asarray(dh, dtype=complex)
+    first = first + 2.0 * np.asarray(alpha_p)[..., None, None] * wedge_xi_extract(xi, tr_form)
+    second = xi_norm_sq(xi, omega)[..., None, None] * np.asarray(dh, dtype=complex)
     return first, second
 
 
@@ -229,16 +224,20 @@ def coupled_symbol_matrix(xi, omega, abs_omega, r, alpha_p, f, h):
     directions, mapped in one stacked call.  The lower-left block is
     verified to vanish identically.
     """
-    xi = _check_xi(xi)
+    xi = _check_xi(xi, omega, abs_omega, r, alpha_p, f, h)
+    points = xi.shape[:-1]
     kern = d_symbol_kernel(xi)
-    hbasis = hermitian_basis(h.shape[0])
-    dpsi = np.concatenate([kern, np.zeros((len(hbasis), 3, 3), dtype=complex)])
-    dh = np.concatenate([np.zeros((4,) + hbasis.shape[1:], dtype=complex), hbasis])
-    scale = xi_norm_sq(xi, omega) / (2.0 * float(norm_omega(omega, abs_omega)))
+    hbasis = hermitian_basis(np.shape(h)[-1])
+    n = 4 + len(hbasis)
+    dpsi = np.zeros((n,) + kern.shape[1:], dtype=complex)
+    dpsi[:4] = kern
+    dh = np.zeros((n,) + points + hbasis.shape[1:], dtype=complex)
+    dh[4:] = hbasis.reshape((len(hbasis),) + (1,) * len(points) + hbasis.shape[1:])
     first, second = coupled_symbol(xi, omega, abs_omega, r, alpha_p, f, h, dpsi, dh)
     if np.abs(second[:4]).max() > 0.0:
         raise ProjectionResidualError("coupled symbol is not block triangular")
-    mat = np.zeros((4 + len(hbasis),) * 2)
-    mat[:4] = _project_onto(kern, first, scale, KERNEL_TOL, "coupled symbol image").T
-    mat[4:, 4:] = np.einsum("jab,iba->ij", second[4:], hbasis).real
+    mat = np.zeros(points + (n, n))
+    scale = _kernel_scale(xi, omega, abs_omega)
+    mat[..., :4, :] = _project_onto(kern, first, scale, KERNEL_TOL, "coupled symbol image")
+    mat[..., 4:, 4:] = np.einsum("j...ab,iba->...ij", second[4:], hbasis).real
     return mat

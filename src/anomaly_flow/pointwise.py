@@ -191,7 +191,7 @@ def hodge_star22(psi, omega_t):
     Hermitian input; satisfies phi ^ Psi = (<phi, star Psi>/3!) w^3 for every
     (1,1)-form phi (pinned against the exterior-algebra oracle).
     """
-    assert_positive(omega_t, "omega_t")
+    assert_positive(omega_t, "omega")
     det = np.real(det3(omega_t))
     return 2.0 * (omega_t @ psi @ omega_t) / det[..., None, None]
 
@@ -208,8 +208,8 @@ def inner11(phi, psi, omega):
 
 def tilde_star(dpsi, omega, abs_omega):
     """Modified star: (1/2||Omega||) (<star dPsi, omega> omega - star dPsi)."""
-    nrm = norm_omega(omega, abs_omega)
-    star = hodge_star22(dpsi, omega)
+    star = hodge_star22(dpsi, omega)  # checks omega, for the norm too
+    nrm = abs_omega / np.sqrt(np.real(det3(omega)))
     trace_part = inner11(star, omega, omega)
     return (trace_part[..., None, None] * omega - star) / (2.0 * np.asarray(nrm)[..., None, None])
 

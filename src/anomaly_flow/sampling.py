@@ -68,9 +68,9 @@ def orthonormal_frame(omega: np.ndarray) -> np.ndarray:
 
 
 def transport_curvature(r_src: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Transport R under the frame change V_dst^p = s[p, c] V_src^c."""
+    """Transport R under the frame change V_dst^p = s[p, c] V_src^c; broadcasts over leading axes."""
     sinv = np.linalg.inv(s)
-    return np.einsum("bk,aj,pc,dq,bacd->kjpq", sinv.conj(), sinv, s, sinv, r_src)
+    return np.einsum("...bk,...aj,...pc,...dq,...bacd->...kjpq", sinv.conj(), sinv, s, sinv, r_src)
 
 
 def random_curvature_for_metric(rng, omega: np.ndarray, scale: float = 1.0) -> np.ndarray:

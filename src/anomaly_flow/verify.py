@@ -7,12 +7,11 @@ runs all of them; the acceptance tests reuse individual suites.
 Draw order: suite k draws its trials one after another from the stream
 ``np.random.default_rng([seed, k])``, each trial's inputs in a fixed order,
 and ``_draw`` stacks them.  Trial i of stream ``[seed, k]`` is therefore the
-same sample whether the suite evaluates it alone or on the stack.  The
-pointwise suites (float wedge square, top determinant, root roundtrip,
-psi/omega roundtrip, scaling covariance, the three star identities and both
-variation checks) call their ``pointwise`` functions once on the stack.
-Oracle ``MultiVector`` wedges and the ``linearize`` calls, which take one
-covector at a time, stay per trial.
+same sample whether the suite evaluates it alone or on the stack.  Every
+``pointwise`` and ``linearize`` function broadcasts over leading point axes,
+so each suite calls them once on the whole stack (the coupled-spectrum suite
+once per bundle rank); only the oracle ``MultiVector`` wedges run trial by
+trial.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ def _result(name, trials, residuals, tol, ok=True, detail=""):
     return SuiteResult(name, trials, worst, tol, passed, detail)
 
 
-def _rel(diff, ref):
-    """max|diff| / max|ref| per matrix (ref's scale floored at 1e-300)."""
-    scale = np.maximum(np.abs(ref).max(axis=(-2, -1)), 1e-300)
-    return np.abs(diff).max(axis=(-2, -1)) / scale
+def _rel(diff, ref, axis=(-2, -1)):
+    """max|diff| / max|ref| per matrix, or per vector with axis=-1 (ref's scale floored at 1e-300)."""
+    scale = np.maximum(np.abs(ref).max(axis=axis), 1e-300)
+    return np.abs(diff).max(axis=axis) / scale
 
 
 def _metric(rng):
@@ -101,12 +100,10 @@ def _cube(w):
     return exterior.top_coefficient(exterior.wedge(*[exterior.from_form11(w)] * 3))
 
 
-def _xi_mv(xi):
-    return exterior.MultiVector({(j,): xi[j] for j in range(3)})
-
-
-def _xibar_mv(xi):
-    return exterior.MultiVector({(j + 3,): np.conj(xi[j]) for j in range(3)})
+def _i_xi_xibar(xi):
+    """i xi ^ xibar through the oracle."""
+    i_xi = exterior.MultiVector({(j,): 1j * xi[j] for j in range(3)})
+    return i_xi.wedge(exterior.MultiVector({(j + 3,): np.conj(xi[j]) for j in range(3)}))
 
 
 def _rand_gaussian_rational_hermitian(rng):
@@ -257,30 +254,23 @@ def suite_kernel_identity(seed, trials=200):
     def sample(rng):
         return *_metric(rng), _covector(rng), rng.standard_normal(4)
 
-    res = []
-    dims_ok = True
-    for w, ab, xi, coeff in zip(*_draw(seed, 13, trials, sample)):
-        basis = linearize.d_symbol_kernel(xi)
-        dims_ok = dims_ok and len(basis) == 4
-        dpsi = sum(c * b for c, b in zip(coeff, basis))
-        ts = pointwise.tilde_star(dpsi, w, ab)
-        lhs = exterior.to_form22(
-            exterior.wedge(1j * _xi_mv(xi), _xibar_mv(xi), exterior.from_form11(ts))
-        )
-        lam = linearize.xi_norm_sq(xi, w) / (2.0 * pointwise.norm_omega(w, ab))
-        res.append(_rel(lhs - lam * dpsi, lam * dpsi))
-    return _result("kernel identity (oracle)", trials, res, 1e-10, dims_ok)
+    ws, abs_, xis, coeffs = _draw(seed, 13, trials, sample)
+    basis = linearize.d_symbol_kernel(xis)
+    dpsi = np.einsum("tb,btij->tij", coeffs, basis)
+    ts = pointwise.tilde_star(dpsi, ws, abs_)
+    lhs = np.stack([exterior.to_form22(_i_xi_xibar(xi).wedge(exterior.from_form11(t)))
+                    for xi, t in zip(xis, ts)])
+    lam = linearize.xi_norm_sq(xis, ws) / (2.0 * pointwise.norm_omega(ws, abs_))
+    rhs = lam[:, None, None] * dpsi
+    return _result("kernel identity (oracle)", trials, _rel(lhs - rhs, rhs), 1e-10, len(basis) == 4)
 
 
 def suite_symbol_scalar_at_zero_coupling(seed, trials=100):
-    rzero = np.zeros((3, 3, 3, 3))
-    res, bad = [], []
-    for w, ab, xi in zip(*_draw(seed, 14, trials, lambda rng: (*_metric(rng), _covector(rng)))):
-        rep = linearize.restricted_symbol(xi, w, ab, rzero, 0.0)
-        lam = linearize.xi_norm_sq(xi, w) / (2.0 * pointwise.norm_omega(w, ab))
-        res.append(np.abs(rep.eigenvalues - lam).max() / lam)
-        bad.append(not rep.elliptic)
-    return _result("symbol scalar at zero coupling", trials, np.maximum(res, bad), 1e-10)
+    ws, abs_, xis = _draw(seed, 14, trials, lambda rng: (*_metric(rng), _covector(rng)))
+    rep = linearize.restricted_symbol(xis, ws, abs_, np.zeros((3, 3, 3, 3)), 0.0)
+    lam = linearize.xi_norm_sq(xis, ws) / (2.0 * pointwise.norm_omega(ws, abs_))
+    res = np.abs(rep.eigenvalues - lam[:, None]).max(axis=1) / lam
+    return _result("symbol scalar at zero coupling", trials, np.maximum(res, ~rep.elliptic), 1e-10)
 
 
 def suite_curvature_bound_sufficiency(seed, trials=500):
@@ -290,17 +280,11 @@ def suite_curvature_bound_sufficiency(seed, trials=500):
         r = sampling.random_curvature_for_metric(rng, w, scale=2.0 * rng.random())
         return w, ab, r, 0.4 * rng.random(), _covector(rng)
 
-    counterexamples = 0
-    checked = 0
-    for w, ab, r, alpha, xi in zip(*_draw(seed, 15, trials, sample)):
-        norm = linearize.proposition_norm(xi, w, ab, r, alpha)
-        if norm < linearize.xi_norm_sq(xi, w):
-            checked += 1
-            rep = linearize.restricted_symbol(xi, w, ab, r, alpha)
-            if not rep.elliptic:
-                counterexamples += 1
-    return _result("curvature-bound sufficiency", trials, counterexamples, 0.0,
-                   detail=f"{checked} draws below the bound")
+    ws, abs_, rs, alphas, xis = _draw(seed, 15, trials, sample)
+    below = linearize.proposition_norm(xis, ws, abs_, rs, alphas) < linearize.xi_norm_sq(xis, ws)
+    elliptic = linearize.restricted_symbol(xis, ws, abs_, rs, alphas).elliptic
+    return _result("curvature-bound sufficiency", trials, np.sum(below & ~elliptic), 0.0,
+                   detail=f"{np.sum(below)} draws below the bound")
 
 
 def suite_rotation_covariance(seed, trials=50):
@@ -308,24 +292,21 @@ def suite_rotation_covariance(seed, trials=50):
     def sample(rng):
         return *_symbol_point(rng), _form11(rng)
 
-    res = []
-    for w, ab, r, alpha, xi, a in zip(*_draw(seed, 16, trials, sample)):
-        u, _ = np.linalg.qr(a)
-        # coordinates z = U z': metric U^H w U, covector U^T xi, frame change U^H
-        w2 = u.conj().T @ w @ u
-        xi2 = u.T @ xi
-        r2 = sampling.transport_curvature(r, u.conj().T)
-        e1 = np.sort_complex(linearize.restricted_symbol(xi, w, ab, r, alpha).eigenvalues)
-        e2 = np.sort_complex(linearize.restricted_symbol(xi2, w2, ab, r2, alpha).eigenvalues)
-        res.append(np.abs(e1 - e2).max() / max(np.abs(e1).max(), 1e-300))
-    return _result("rotation covariance", trials, res, 1e-8)
+    ws, abs_, rs, alphas, xis, a = _draw(seed, 16, trials, sample)
+    u, _ = np.linalg.qr(a)
+    uh = np.conj(np.swapaxes(u, -1, -2))
+    # coordinates z = U z': metric U^H w U, covector U^T xi, frame change U^H
+    rotated = (np.einsum("tji,tj->ti", u, xis), uh @ ws @ u, abs_,
+               sampling.transport_curvature(rs, uh), alphas)
+    e1 = np.sort_complex(linearize.restricted_symbol(xis, ws, abs_, rs, alphas).eigenvalues)
+    e2 = np.sort_complex(linearize.restricted_symbol(*rotated).eigenvalues)
+    return _result("rotation covariance", trials, _rel(e1 - e2, e1, -1), 1e-8)
 
 
 def suite_wedge_extract_constraint(seed, trials=200):
-    res = []
-    for xi, phi in zip(*_draw(seed, 17, trials, lambda rng: (_covector(rng), _form11(rng)))):
-        out = linearize.wedge_xi_extract(xi, phi)
-        res.append(np.abs(out @ np.conj(xi)).max() / max(np.abs(out).max(), 1e-300))
+    xis, phis = _draw(seed, 17, trials, lambda rng: (_covector(rng), _form11(rng)))
+    out = linearize.wedge_xi_extract(xis, phis)
+    res = _rel(out @ np.conj(xis)[..., None], out)  # each out @ conj(xi) against max|out|
     return _result("wedge-extract kernel consistency", trials, res, 1e-12)
 
 
@@ -342,15 +323,14 @@ def suite_coupled_block_spectrum(seed, trials=30):
     cols = _draw(seed, 18, trials, sample)
     res = []
     for i in range(0, len(cols), 7):  # the columns of rank 1, then 2, then 3
-        for w, ab, r, alpha, xi, h, f in zip(*cols[i:i + 7]):
-            mat = linearize.coupled_symbol_matrix(xi, w, ab, r, alpha, f, h)
-            got = np.sort_complex(np.linalg.eigvals(mat))
-            rep = linearize.restricted_symbol(xi, w, ab, r, alpha)
-            expect = np.sort_complex(
-                np.concatenate([rep.eigenvalues, [linearize.xi_norm_sq(xi, w)] * len(h) ** 2])
-            )
-            res.append(np.abs(got - expect).max() / max(np.abs(expect).max(), 1e-300))
-    return _result("coupled block spectrum", trials * 3, res, 1e-10)
+        w, ab, r, alpha, xi, h, f = cols[i:i + 7]
+        mat = linearize.coupled_symbol_matrix(xi, w, ab, r, alpha, f, h)
+        got = np.sort_complex(np.linalg.eigvals(mat))
+        bundle = np.repeat(linearize.xi_norm_sq(xi, w)[:, None], h.shape[-1] ** 2, axis=1)
+        expect = np.sort_complex(np.concatenate(
+            [linearize.restricted_symbol(xi, w, ab, r, alpha).eigenvalues, bundle], axis=1))
+        res.append(_rel(got - expect, expect, -1))
+    return _result("coupled block spectrum", trials * 3, np.concatenate(res), 1e-10)
 
 
 def _adversarial_verdict(strength=5.0, abs_omega=1.0):

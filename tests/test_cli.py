@@ -74,6 +74,11 @@ FUYAU_N8 = {"command": "flow-fuyau", "grid": {"complex_dims": 2, "points_per_dim
         ({"time": {"t_final": "0.004"}}, "time.t_final must be a number"),
         ({"time": {"t_final": 0.004, "dt_fixed": True}}, "time.dt_fixed must be a number or null"),
         ({"output": {"dir": 5}}, "output.dir must be a string"),
+        # a seed is an integer >= 0, for every command; a period is finite
+        ({"command": "verify", "seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        (FUYAU_N8 | {"grid": {"complex_dims": 2, "points_per_dim": 8, "period": float("inf")}},
+         "period must be positive and finite, got inf"),
     ],
 )
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys, extra, named):
@@ -98,6 +103,7 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys, extra, named):
 # is read by its parser, which the tests above cover
 WRONG_KIND = {
     "integer": [True, 1.5],
+    "integer >= 0": [True, 1.5, -1],
     "number": [True, "1"],
     "number or null": [True, "1"],
     "boolean": ["true", 1],
@@ -345,6 +351,9 @@ def _symbol_cfg(tmp_path, **symbol):
         ({"curvature": {"inline": 5}}, "curvature.inline must be nested lists of shape (3, 3, 3, 3)"),
         ({"omega": {"snapshot": "herm3.anmf", "at": [0.5, 0]}}, "omega.at must be a list of integers"),
         ({"omega": {"snapshot": 0}}, "omega.snapshot must be a string"),
+        # a seed is an integer >= 0, and a snapshot's period is finite
+        ({"curvature": {"random": {"seed": -2}}}, "curvature.random.seed must be an integer >= 0"),
+        ({"omega": {"snapshot": "inf.anmf"}}, "period must be positive and finite, got inf"),
     ],
 )
 def test_cli_symbol_rejects_bad_input(tmp_path, monkeypatch, capsys, symbol, field):
@@ -355,6 +364,9 @@ def test_cli_symbol_rejects_bad_input(tmp_path, monkeypatch, capsys, symbol, fie
     snap.write_snapshot(
         tmp_path / "curv.anmf", g, np.zeros(g.shape + (3, 3, 3, 3), dtype=complex), snap.KIND_CURV
     )
+    raw = (tmp_path / "herm3.anmf").read_bytes()
+    *header, _ = snap._HEADER.unpack(raw[:snap._HEADER.size])  # the last field is the period
+    (tmp_path / "inf.anmf").write_bytes(snap._HEADER.pack(*header, np.inf) + raw[snap._HEADER.size:])
     cfg = _symbol_cfg(tmp_path, **symbol)
     assert cli.main(["symbol", "--config", cfg]) == cli.EXIT_INPUT_ERROR
     assert field in capsys.readouterr().err
@@ -601,6 +613,7 @@ def _flow_cfg(tmp_path, command, **spec):
         ("flow-fuyau", {"u0": {"modes": 5}}, "u0.modes must be a list"),
         ("flow-torus", {"abs_omega": "1"}, "torus.abs_omega must be a number"),
         ("flow-torus", {"amplitude": True}, "torus.amplitude must be a number"),
+        ("flow-torus", {"fixture_seed": -1}, "torus.fixture_seed must be an integer >= 0"),
     ],
 )
 def test_cli_flow_rejects_bad_input(tmp_path, capsys, command, spec, field):
@@ -630,8 +643,13 @@ def test_cli_torus_stationary(tmp_path):
     assert max(rhs) < 1e-10
 
 
-def test_cli_input_error_exit_code(tmp_path):
+def test_cli_input_error_exit_code(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT_ERROR
+    # the --seed override is read as the config's seed is
+    cfg = write_cfg(tmp_path / "v.json", {"command": "verify", "output": {"dir": str(tmp_path)}})
+    assert cli.main(["verify", "--config", cfg, "--seed", "-1"]) == cli.EXIT_INPUT_ERROR
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.csv").exists()
 
 
 def _torus_cfg(tmp_path, **time):

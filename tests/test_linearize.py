@@ -1,5 +1,7 @@
 """Symbol machinery: kernel, restricted symbol, coupled system."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from anomaly_flow import exterior as ex
 from anomaly_flow import linearize as lin
 from anomaly_flow import pointwise as pw
 from anomaly_flow import sampling as samp
+from anomaly_flow import verify
 from anomaly_flow.errors import (
     ConditioningError,
     DegenerateInputError,
@@ -397,6 +400,35 @@ def test_public_symbol_helpers_broadcast_over_leading_axes():
             assert _rel(stacked["coupled_symbol"][i, j], first) < 1e-14
     with pytest.raises(ValueError):
         lin.hermitian_basis(2)[0, 0, 0] = 2.0  # the cached stack is read-only
+    # a stack of points, each with its own xi, omega, |Omega|, R and a' (some a' = 0), gives
+    # what the points give one at a time
+    points = [_draw(rng) for _ in range(24)]
+    xis, ws, abs_, rs, alphas = (np.stack(col) for col in zip(*points))
+    alphas[::5] = 0.0
+    rep = lin.restricted_symbol(xis, ws, abs_, rs, alphas)
+    norms = lin.proposition_norm(xis, ws, abs_, rs, alphas)
+    kern = lin.d_symbol_kernel(xis)
+    assert kern.shape == (4, 24, 3, 3) and rep.eigenvalues.shape == (24, 4) and norms.shape == (24,)
+    assert rep.kernel_dim == 4
+    bundles = [[], [], []]  # the bundle (H, F) of each point, for each rank 1, 2, 3
+    for rank, per_rank in enumerate(bundles, 1):
+        for _ in points:
+            h = samp.random_positive_endo(rng, rank)
+            per_rank.append((h, samp.random_endcurv(rng, h)))
+    mats = [lin.coupled_symbol_matrix(xis, ws, abs_, rs, alphas, np.stack([f for _, f in b]),
+                                      np.stack([h for h, _ in b])) for b in bundles]
+    for i, (xi, w, ab, r, alpha) in enumerate(zip(xis, ws, abs_, rs, alphas)):
+        one = lin.restricted_symbol(xi, w, ab, r, alpha)
+        assert _rel(np.sort_complex(rep.eigenvalues[i]), np.sort_complex(one.eigenvalues)) < 1e-12
+        assert rep.min_real_part[i] == pytest.approx(one.min_real_part, rel=1e-12, abs=1e-12)
+        assert rep.elliptic[i] == one.elliptic
+        ref = lin.proposition_norm(xi, w, ab, r, alpha)
+        assert abs(norms[i] - ref) <= 1e-12 * max(ref, lin.xi_norm_sq(xi, w))
+        assert lin.xi_norm_sq(xis, ws)[i] == pytest.approx(lin.xi_norm_sq(xi, w), rel=1e-12)
+        assert _rel(kern[:, i], lin.d_symbol_kernel(xi)) < 1e-12
+        for mat, b in zip(mats, bundles):
+            h, f = b[i]
+            assert _rel(mat[i], lin.coupled_symbol_matrix(xi, w, ab, r, alpha, f, h)) < 1e-12
 
 
 def test_kernel_leak_check_runs_on_every_image():
@@ -411,6 +443,13 @@ def test_kernel_leak_check_runs_on_every_image():
             lin.restricted_symbol(xi, w, ab, bad, 0.3)
         with pytest.raises(ProjectionResidualError):
             lin.coupled_symbol_matrix(xi, w, ab, bad, 0.3, f, h)
+        # the same curvature at one point of a stack of good points
+        good = samp.random_curvature_for_metric(rng, w)
+        rs = np.stack([good, good, bad, good])
+        with pytest.raises(ProjectionResidualError, match=r"at point \(2,\)"):
+            lin.restricted_symbol(xi, w, ab, rs, 0.3)
+        with pytest.raises(ProjectionResidualError, match=r"at point \(2,\)"):
+            lin.coupled_symbol_matrix(xi, w, ab, rs, 0.3, f, h)
     # a small leaking image beside a large clean one is judged on its own scale
     kern = lin.d_symbol_kernel(E1)
     leak = np.zeros((3, 3), complex)
@@ -442,3 +481,35 @@ def test_symbol_keeps_every_input_check(call, case):
     xi, w, err = _BAD_INPUTS[case]
     with pytest.raises(err):
         _SYMBOL_CALLS[call](xi, w)
+    # one bad point in a stack of good ones raises what it raises alone
+    xis, ws = np.stack([_XI] * 5), np.stack([I3] * 5)
+    xis[3], ws[3] = xi, w
+    with pytest.raises(err):
+        _SYMBOL_CALLS[call](xis, ws)
+
+
+def test_symbol_pair_checks_omega_at_most_twice(monkeypatch):
+    # each omega check is one eigvalsh: one per call, however many helpers the call uses
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    xi, w, ab, r, _ = _draw(np.random.default_rng(23))
+    lin.restricted_symbol(xi, w, ab, r, 0.1)
+    lin.proposition_norm(xi, w, ab, r, 0.1)
+    assert len(calls) <= 2, calls
+
+
+def test_verify_symbol_suites_call_linearize_once_per_stack(monkeypatch):
+    # the suite's linearize calls do not grow with its trials: no per-trial loop came back
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    names = ("proposition_norm", "restricted_symbol", "xi_norm_sq")
+    counting = SimpleNamespace(**{n: counted(getattr(lin, n)) for n in names})
+    monkeypatch.setattr(verify, "linearize", counting)
+    for trials in (10, 100):
+        calls.clear()
+        assert verify.suite_curvature_bound_sufficiency(11, trials=trials).passed
+        assert sorted(calls) == list(names), trials
