@@ -27,7 +27,10 @@ and those of Psi it writes, 3 a + b; the 2x2 block a, b in {1, 2} at c = 1,
 all nine at c = 2), i_ddbar_11 maps the stacked coefficients of the one set
 to those of the other, and band_inverse(rows=) puts such a stack back into a
 whole 3x3 field.  d_residual_22 transforms the components in a row or a
-column j < c, those d reads.  The full-grid FFT
+column j < c, those d reads (_d22_rows), and assembles d on the band
+(_d22_norm); _d22_residual lets a caller supply the coefficients of rows it
+knows to be unchanged.  band_l2_norm is l2_norm by Parseval on band
+coefficients.  The full-grid FFT
 (forward, inverse, on numpy.fft) is left to a grid-valued chern_curvature,
 where content above the band counts; no CLI command calls it.
 """
@@ -307,6 +310,21 @@ def l2_norm(grid: PeriodicGrid, field: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(np.abs(field) ** 2, axis=comp_axes))))
 
 
+def band_l2_norm(grid: PeriodicGrid, chat: np.ndarray) -> float:
+    """l2_norm of band_inverse(grid, chat), by Parseval on the band coefficients.
+
+    The coefficients are unnormalized DFTs, so a full complex band gives
+    sqrt(sum |chat|^2) / prod(grid.shape); on a real field's half spectrum
+    the bins 1..N//3 of the last axis stand for the modes +-k and count
+    twice.  The leading axes are components and are summed over.
+    """
+    sq = np.vdot(chat, chat).real
+    if chat.shape[-1] == grid.dealias_kmax + 1:
+        bin0 = np.ascontiguousarray(chat[..., 0])
+        sq = 2.0 * sq - np.vdot(bin0, bin0).real
+    return float(np.sqrt(sq) / math.prod(grid.shape))
+
+
 def assert_positive_field(field: np.ndarray, name="field") -> np.ndarray:
     """Least eigenvalue at each point of a Herm3 field (closed form, herm3_min_eig).
 
@@ -347,6 +365,17 @@ def _iddbar_support(c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(np.flatnonzero(nonzero.any(axis=0)).tolist()))
 
 
+@lru_cache(maxsize=None)
+def _iddbar_blocks(c: int) -> np.ndarray:
+    """The gemm table restricted to (writes, reads) at c active dims, per (l, m) < c:
+    blocks[l, m] @ (stacked coefficients of the reads) gives those of the writes."""
+    reads, writes = _iddbar_support(c)
+    blocks = np.ascontiguousarray(
+        np.swapaxes(_iddbar_gemm_table()[:c, :c][:, :, reads][:, :, :, writes], -1, -2))
+    blocks.flags.writeable = False
+    return blocks
+
+
 def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
     """Band coefficients of i del delbar of a Herm3 field, assembled as a Psi22 field.
 
@@ -359,12 +388,12 @@ def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
     the transform.
     """
     reads, writes = _iddbar_support(grid.complex_dims)
-    table = _iddbar_gemm_table()
+    blocks = _iddbar_blocks(grid.complex_dims)
     dz_syms, dzb_syms = _symbols(grid, band=True)
     flat = ohat.reshape(len(reads), -1)
     out = None
     for l, m in np.ndindex(grid.complex_dims, grid.complex_dims):
-        term = (table[l, m][np.ix_(reads, writes)].T @ flat).reshape((len(writes),) + grid.band_shape)
+        term = (blocks[l, m] @ flat).reshape((len(writes),) + grid.band_shape)
         term *= dz_syms[l] * dzb_syms[m]
         if out is None:
             out = term
@@ -499,38 +528,67 @@ def _d22_tables():
     return conv, hol, ah
 
 
+@lru_cache(maxsize=None)
+def _d22_rows(c: int) -> tuple[int, ...]:
+    """The components 3 a + b of a Psi22 field that d reads at c active dims: del_j
+    hits row j (the omitted-dz^j entries), delbar_j column j, for j < c."""
+    return tuple(sorted({3 * j + k for j in range(c) for k in range(3)}
+                        | {3 * k + j for j in range(c) for k in range(3)}))
+
+
+def _d22_band(grid: PeriodicGrid, psi: np.ndarray, rows) -> np.ndarray:
+    """Complex band coefficients of the listed rows of a component-first Psi22 field,
+    (9,) + grid.shape, each shifted by its value at grid index 0 so that d of a
+    constant is exactly zero: (len(rows),) + grid.band_shape."""
+    psi = psi.reshape((9,) + grid.shape)[_row_index(rows)]
+    base = psi[(slice(None),) + (slice(1),) * (2 * grid.complex_dims)]
+    return band_forward(grid, np.subtract(psi, base, dtype=complex))
+
+
+def _d22_norm(grid: PeriodicGrid, phat) -> float:
+    """L2 norm of d(Psi) from the band coefficients phat[r] of each row r in _d22_rows.
+
+    del_j and delbar_j are band multipliers, the coefficients of the 5-form
+    d(Psi) are assembled on the band with oracle-pinned signs, and their
+    norm is taken by Parseval.
+    """
+    conv, hol, ah = _d22_tables()
+    dz_syms, dzb_syms = _symbols(grid, band=True)
+    comps = np.zeros((6,) + grid.band_shape, dtype=complex)
+    for j in range(grid.complex_dims):
+        for b in range(3):
+            idx, s = hol[j][b]
+            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[3 * j + b]
+        for a in range(3):
+            idx, s = ah[a][j]
+            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[3 * a + j]
+    return np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
+
+
 def d_residual_22(grid: PeriodicGrid, psi_field: np.ndarray) -> float:
     """Relative L2 size of d(Psi) for a band-limited Psi22 field.
 
-    One complex band transform of the components d reads (those in a row
-    or a column j < c: 5 of 9 at c = 1, 8 at c = 2), shifted by their value
-    at grid index 0 so that d of a constant is exactly zero; del_j and
-    delbar_j are band multipliers, and all coefficients of the 5-form d(Psi)
-    are assembled on the band with oracle-pinned signs.  Their L2 norm is
-    taken by Parseval and normalized by the L2 norm of Psi's own monomial
-    coefficients.  Content above N//3 is not seen.  Zero field returns 0.
+    One complex band transform of the components d reads (_d22_rows: those
+    in a row or a column j < c, 5 of 9 at c = 1, 8 at c = 2), and the
+    5-form d(Psi) assembled on the band (_d22_norm); its L2 norm is
+    normalized by the L2 norm of Psi's own monomial coefficients.  Content
+    above N//3 is not seen.  Zero field returns 0.
     """
+    return _d22_residual(grid, psi_field, {})
+
+
+def _d22_residual(grid: PeriodicGrid, psi_field: np.ndarray, known: dict) -> float:
+    """d_residual_22, given the _d22_band coefficients of some rows (known, row ->
+    coefficients) that the caller knows to be unchanged: only the other rows
+    that d reads are transformed."""
     den = 2.0 * l2_norm(grid, psi_field)
     if den == 0.0:
         return 0.0
-    conv, hol, ah = _d22_tables()
-    c = grid.complex_dims
-    dz_syms, dzb_syms = _symbols(grid, band=True)
-    # del_j hits row j (the omitted-dz^j entries), delbar_j column j
-    rows = sorted({3 * j + k for j in range(c) for k in range(3)} | {3 * k + j for j in range(c) for k in range(3)})
-    at = {r: i for i, r in enumerate(rows)}
-    psi = comp_first(np.asarray(psi_field, dtype=complex)).reshape((9,) + grid.shape)[_row_index(rows)]
-    phat = band_forward(grid, psi - psi[(slice(None),) + (slice(1),) * (2 * c)])
-    comps = np.zeros((6,) + grid.band_shape, dtype=complex)
-    for j in range(c):
-        for b in range(3):
-            idx, s = hol[j][b]
-            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[at[3 * j + b]]
-        for a in range(3):
-            idx, s = ah[a][j]
-            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[at[3 * a + j]]
-    num = np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
-    return float(num / den)
+    rows = [r for r in _d22_rows(grid.complex_dims) if r not in known]
+    phat = dict(known)
+    if rows:
+        phat.update(zip(rows, _d22_band(grid, comp_first(psi_field), rows)))
+    return float(_d22_norm(grid, phat) / den)
 
 
 def random_bandlimited_herm3(grid: PeriodicGrid, rng, kmax: int, amplitude: float = 1.0) -> np.ndarray:

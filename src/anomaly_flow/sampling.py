@@ -68,9 +68,17 @@ def orthonormal_frame(omega: np.ndarray) -> np.ndarray:
 
 
 def transport_curvature(r_src: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Transport R under the frame change V_dst^p = s[p, c] V_src^c; broadcasts over leading axes."""
+    """Transport R under the frame change V_dst^p = s[p, c] V_src^c; broadcasts over leading axes.
+
+    R_dst[k, j, p, q] = sum conj(t[b, k]) t[a, j] s[p, c] t[d, q] R_src[b, a, c, d] with
+    t = s^-1, contracted one index at a time (d, c, a, b), not as one
+    five-operand sum over all eight indices.
+    """
     sinv = np.linalg.inv(s)
-    return np.einsum("...bk,...aj,...pc,...dq,...bacd->...kjpq", sinv.conj(), sinv, s, sinv, r_src)
+    r = np.einsum("...bacd,...dq->...bacq", r_src, sinv)
+    r = np.einsum("...pc,...bacq->...bapq", s, r)
+    r = np.einsum("...aj,...bapq->...bjpq", sinv, r)
+    return np.einsum("...bk,...bjpq->...kjpq", sinv.conj(), r)
 
 
 def random_curvature_for_metric(rng, omega: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -260,3 +260,25 @@ def test_hermitize_keeps_component_first_memory():
     h = pw.hermitize(m)
     assert np.shares_memory(gr.comp_first(h), h)  # comp_first takes no copy
     np.testing.assert_array_equal(h, 0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+
+
+def _random_frame_stack(rng, eigs):
+    """Hermitian U diag(e) U^H for each row e of eigs, with seeded random unitary frames U."""
+    a = rng.standard_normal(eigs.shape + (3,)) + 1j * rng.standard_normal(eigs.shape + (3,))
+    u, _ = np.linalg.qr(a)
+    return pw.hermitize((u * eigs[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2)))
+
+
+@pytest.mark.parametrize("cond, bound", [(1.001, 1e-12), (1e2, 5e-10), (1e6, 2e-2)])
+def test_herm3_min_eig_accuracy_against_eigvalsh(cond, bound):
+    # eigenvalues 1, log-uniform in [1, cond], and cond: the closed form's relative error
+    # grows with the condition number, fastest where the two smallest eigenvalues come
+    # close; each bound is 4-13x the worst of the 4096 draws
+    rng = np.random.default_rng(7)
+    eigs = np.ones((4096, 3))
+    eigs[:, 1] = np.exp(rng.uniform(0.0, np.log(cond), len(eigs)))
+    eigs[:, 2] = cond
+    m = _random_frame_stack(rng, eigs)
+    ref = np.linalg.eigvalsh(m)[:, 0]
+    err = np.abs(pw.herm3_min_eig(m) - ref) / ref
+    assert err.max() < bound
