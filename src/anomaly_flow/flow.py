@@ -23,7 +23,10 @@ derivatives act along one axis at a time as dense matrices
 computes only the kept band (grid.band_forward).  The torus rate takes one
 complex band transform of omega; i del delbar and del_j omega are
 multipliers on that band, and the curvature product, the R slabs and
-Tr(R ^ R) come from band transforms too.  Inside that pipeline 3x3 fields
+Tr(R ^ R) come from band transforms too.  Tr(R ^ R) is streamed
+(grid._band_tr_r_wedge_r): omega^{-1} del_j omega is built one column at a
+time, and R is band-inverted one pair of slabs at a time inside the trace
+loop, so neither is ever whole on the grid.  Inside that pipeline 3x3 fields
 are stored component-first, (3, 3) + grid.shape, so every transform is a
 gemm along a contiguous grid axis and the pointwise algebra runs on
 grid_first views; the state, the snapshots and torus_rhs keep the
@@ -60,6 +63,7 @@ import numpy as np
 from .errors import PositivityError
 from .grid import (
     PeriodicGrid,
+    _band_tr_r_wedge_r,
     _d22_band,
     _d22_residual,
     _d22_rows,
@@ -78,8 +82,6 @@ from .grid import (
     grid_mean,
     i_ddbar_11,
     random_bandlimited_herm3,
-    chern_curvature,
-    tr_r_wedge_r,
 )
 from .pointwise import _cofactor, det3, hermitize, omega_from_psi, psi_from_omega
 
@@ -450,7 +452,8 @@ def _anomaly_terms(g: PeriodicGrid, omega: np.ndarray, curvature: bool, gate: bo
     second is component-first, (3, 3) + g.band_shape.  The second is None,
     and no curvature is computed, unless curvature is asked for and the
     oracle's wedge table has a term at the grid's c; at c = 1 Tr(R ^ R)
-    vanishes identically.  gate checks the positivity of omega_d.
+    vanishes identically.  It is streamed (grid._band_tr_r_wedge_r), and
+    gate checks the positivity of omega_d first.
     """
     # derivatives annihilate constants; shifting by one value keeps that exact
     base = omega[(slice(None),) + (slice(1),) * (2 * g.complex_dims)]
@@ -459,11 +462,8 @@ def _anomaly_terms(g: PeriodicGrid, omega: np.ndarray, curvature: bool, gate: bo
     if not (curvature and _wedge_terms(g.complex_dims)[0]):
         return iddbar, None
     # Tr(R ^ R) has terms at c = 2 only, where i del delbar reads all nine entries
-    ohat = ohat.reshape((3, 3) + g.band_shape)
-    omega_d = band_inverse(g, ohat)
-    omega_d += base.reshape((3, 3) + base.shape[1:])
-    r = chern_curvature(g, grid_first(omega_d), ohat=ohat, gate=gate)
-    return iddbar, tr_r_wedge_r(g, r, spectral=True)
+    return iddbar, _band_tr_r_wedge_r(g, ohat.reshape((3, 3) + g.band_shape),
+                                      base.reshape((3, 3) + base.shape[1:]), gate)
 
 
 def _torus_rate(prob: TorusProblem, omega: np.ndarray) -> np.ndarray:
@@ -531,7 +531,8 @@ def torus_run(
     prob.support: Psi + to_state(c*dt*khat) is exactly Psi + c*dt*k for the
     dealiased rhs k, and the other components of Psi never change.  The
     gate's omega (all nine entries, for the positivity check) feeds the
-    first stage; the later stages build only the entries the rate reads.
+    first stage, which pops it from the gate's data, so that it is freed
+    before the later stages; they build only the entries the rate reads.
     Monitors: balanced_residual of the new state, min_eig_omega of the
     state before the step and the rhs norm, read from the band (see the
     module docstring).
@@ -544,10 +545,12 @@ def torus_run(
             dmax, min_eig, omega = _torus_gate(psi, prob)
         except PositivityError:
             return "positivity"
-        return dmax, {"min_eig_omega": min_eig}, omega[_row_index(reads)]
+        return dmax, {"min_eig_omega": min_eig}, [omega[_row_index(reads)]]
 
-    def rhs(psi, omega=None):
-        return _torus_rate(prob, _omega(psi, prob.abs_omega, reads) if omega is None else omega)
+    def rhs(psi, held=None):
+        # popped: the driver's reference to the gate's data must not keep omega alive
+        omega = held.pop() if held else _omega(psi, prob.abs_omega, reads)
+        return _torus_rate(prob, omega)
 
     def to_state(khat):
         return grid_first(band_inverse(g, khat, rows=prob.support))

@@ -30,9 +30,19 @@ whole 3x3 field.  d_residual_22 transforms the components in a row or a
 column j < c, those d reads (_d22_rows), and assembles d on the band
 (_d22_norm); _d22_residual lets a caller supply the coefficients of rows it
 knows to be unchanged.  band_l2_norm is l2_norm by Parseval on band
-coefficients.  The full-grid FFT
-(forward, inverse, on numpy.fft) is left to a grid-valued chern_curvature,
-where content above the band counts; no CLI command calls it.
+coefficients.
+
+The curvature has one assembly and one trace loop.  _connection_band builds
+the band coefficients of omega^{-1} del_j omega one column at a time from
+omega^{-1} (_metric_inverse, from the cofactor table) and a source of the
+columns of del_j omega; each R slab is the band_inverse of -delbar_k times
+one of its components (_curvature_slabs), and _wedge_traces takes Tr(R ^ R)
+from a source of R slabs, one pair at a time.  The torus rate
+(_band_tr_r_wedge_r) feeds them band coefficients and never holds R or the
+connection on the grid; chern_curvature takes the columns from a full-grid
+FFT (forward, inverse, on numpy.fft) of a grid field, whose content above
+the band counts, and returns the whole R, which tr_r_wedge_r reads as its
+slab source.  No CLI command calls either.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import numpy as np
 
 from . import exterior
 from .errors import PositivityError
-from .pointwise import POSITIVITY_EPS, adjugate3, det3, herm3_min_eig
+from .pointwise import POSITIVITY_EPS, _cofactor, det3, herm3_min_eig
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,7 +143,7 @@ def _bcast(sym: np.ndarray, f_ndim: int, grid: PeriodicGrid) -> np.ndarray:
 
 
 def forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    """Full-grid FFT over the grid axes; only a grid-valued chern_curvature takes one."""
+    """Full-grid FFT over the grid axes; only chern_curvature takes one."""
     return np.fft.fftn(f, axes=grid.axes)
 
 
@@ -402,51 +412,71 @@ def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
     return out
 
 
-def chern_curvature(
-    grid: PeriodicGrid, omega_field: np.ndarray, ohat=None, gate: bool = True
-) -> np.ndarray:
+def _metric_inverse(omega: np.ndarray) -> np.ndarray:
+    """omega^{-1} of a component-first Herm3 field, (3, 3) + grid.shape: each entry
+    from the cofactor table, divided by det3."""
+    v = omega.reshape((9,) + omega.shape[2:])
+    pinv = np.empty_like(v)
+    for e in range(9):
+        pinv[e] = _cofactor(v, e)
+    pinv /= det3(grid_first(omega))
+    return pinv.reshape(omega.shape)
+
+
+def _connection_band(grid: PeriodicGrid, pinv: np.ndarray, d_omega) -> np.ndarray:
+    """Band coefficients of omega^{-1} del_j omega, (c, 3, 3) + grid.band_shape.
+
+    pinv is omega^{-1}, component-first, and d_omega(j, s) gives column s of
+    del_j omega on the grid, (3,) + grid.shape.  One column is alive at a
+    time: its 3 slabs are multiplied by pinv and band-forwarded, so the
+    product is dealiased and never held whole on the grid.
+    """
+    c = grid.complex_dims
+    ahat = np.empty((c, 3, 3) + grid.band_shape, dtype=complex)
+    for j, s in np.ndindex(c, 3):
+        ahat[j, :, s] = band_forward(grid, np.einsum("pq...,q...->p...", pinv, d_omega(j, s)))
+    return ahat
+
+
+def _curvature_slabs(grid: PeriodicGrid, ahat: np.ndarray):
+    """The slab source of R from the connection's band coefficients: slab(k, j, p, s)
+    is R_{kbar j}^p_s, the band_inverse of -delbar_k times ahat[j, p, s]."""
+    _, dzb = _symbols(grid, band=True)
+
+    def slab(k, j, p, s):
+        # -delbar_k: negating the multiplier negates the transform exactly
+        return band_inverse(grid, ahat[j, p, s] * -dzb[k])
+
+    return slab
+
+
+def chern_curvature(grid: PeriodicGrid, omega_field: np.ndarray) -> np.ndarray:
     """Chern curvature R_{kbar j}^p_q = -del_kbar((omega^{-1} del_j omega)^p_q).
 
-    Requires pointwise positivity (checked unless the caller gates it).
+    Requires pointwise positivity (PositivityError naming the metric field).
     Only the active slabs are returned: shape grid.shape + (c, c, 3, 3);
     every component with an inactive k or j is zero.  The result is a
     grid_first view of component-first storage (c, c, 3, 3) + grid.shape,
     so each slab R_{kbar j}^p_q is contiguous.
 
-    A grid-valued omega_field takes one full transform for del_j, so its
-    content outside the band counts.  Band coefficients ohat of a
-    band-limited omega_field minus a constant (band_forward of its
-    comp_first storage) skip it: del_j omega is a multiplier on the band.
-    Either way omega^{-1} del_j omega is dealiased by band_forward and each
-    slab is the band_inverse of -delbar_k times that band.
+    omega_field is grid-valued and takes one full transform for del_j, so
+    its content outside the band counts.  omega^{-1} del_j omega is built by
+    _connection_band, as the torus rate builds it from band coefficients,
+    and each slab is the band_inverse of -delbar_k times that band
+    (_curvature_slabs).
     """
     c = grid.complex_dims
-    dz_band, dzb_band = _symbols(grid, band=True)
-    if ohat is None:
-        fhat = forward(grid, omega_field)
-        dz_full, _ = _symbols(grid)
+    assert_positive_field(omega_field, "metric field")
+    fhat = forward(grid, omega_field)
+    dz, _ = _symbols(grid)
 
-        def d_omega(j):
-            d = inverse(grid, fhat * _bcast(dz_full[j], fhat.ndim, grid))
-            return np.moveaxis(d, (-2, -1), (0, 1))
+    def d_omega(j, s):
+        return np.moveaxis(inverse(grid, fhat[..., s] * _bcast(dz[j], fhat.ndim - 1, grid)), -1, 0)
 
-    else:
-
-        def d_omega(j):
-            return band_inverse(grid, ohat * dz_band[j])
-
-    if gate:
-        assert_positive_field(omega_field, "metric field")
-    pinv = comp_first(adjugate3(omega_field))
-    pinv /= det3(omega_field)
-    a = np.empty((c, 3, 3) + grid.shape, dtype=complex)
-    for j in range(c):
-        np.einsum("pq...,qs...->ps...", pinv, d_omega(j), out=a[j])
-    del pinv
-    ahat = band_forward(grid, a)
-    del a
-    # -delbar_k: negating the multiplier negates the transform exactly
-    r = band_inverse(grid, np.stack([ahat * -dzb_band[k] for k in range(c)]))
+    slab = _curvature_slabs(grid, _connection_band(grid, _metric_inverse(comp_first(omega_field)), d_omega))
+    r = np.empty((c, c, 3, 3) + grid.shape, dtype=complex)
+    for k, j, p, s in np.ndindex(r.shape[:4]):
+        r[k, j, p, s] = slab(k, j, p, s)
     return grid_first(r, 4)
 
 
@@ -470,26 +500,28 @@ def _wedge_terms(c: int):
     return terms, comps
 
 
-def tr_r_wedge_r(grid: PeriodicGrid, r_field: np.ndarray, spectral: bool = False) -> np.ndarray:
-    """Pointwise Tr(R ^ R) as a Psi22 field (dealiased product).
+def _wedge_traces(grid: PeriodicGrid, slab, spectral: bool) -> np.ndarray:
+    """Tr(R ^ R) from a slab source, one pair of R slabs at a time.
 
-    r_field may be compact (grid.shape + (c, c, 3, 3), as chern_curvature
-    returns it) or dense (grid.shape + (3, 3, 3, 3)); only its active slabs
-    are read.  Only the traces and output components that the oracle's
-    wedge table can make nonzero are computed and dealiased, by band
-    transforms.  spectral returns their band coefficients in
-    component-first storage, (3, 3) + grid.band_shape, in place of the grid
-    field.
+    slab(k, j, p, s) gives R_{kbar j}^p_s on the grid.  For each term of
+    _wedge_terms, tr(R_{kbar j} R_{mbar l}) is accumulated over (p, s) from
+    the slabs R_{kbar j}^p_s and R_{mbar l}^s_p alone, and only the output
+    components that the weights reach are kept.  The product is dealiased:
+    the result is the component-first grid field, (3, 3) + grid.shape, or
+    with spectral its band coefficients, (3, 3) + grid.band_shape.
     """
     terms, comps = _wedge_terms(grid.complex_dims)
     if terms:
-        r = np.moveaxis(r_field, (-4, -3, -2, -1), (0, 1, 2, 3))
         vals = np.zeros((len(comps),) + grid.shape, dtype=complex)
+        tr, prod = np.empty(grid.shape, dtype=complex), np.empty(grid.shape, dtype=complex)
         for (k, j), (m, l), wt in terms:
-            tr = np.einsum("ps...,sp...->...", r[k, j], r[m, l])
+            tr[...] = 0.0
+            for p, s in np.ndindex(3, 3):
+                tr += np.multiply(slab(k, j, p, s), slab(m, l, s, p), out=prod)
             for i, (a, b) in enumerate(comps):
                 if wt[a, b] != 0:
                     vals[i] += wt[a, b] * tr
+        del tr, prod
         if spectral:
             vals = band_forward(grid, vals)
         else:
@@ -497,7 +529,45 @@ def tr_r_wedge_r(grid: PeriodicGrid, r_field: np.ndarray, spectral: bool = False
     out = np.zeros((3, 3) + (grid.band_shape if spectral else grid.shape), dtype=complex)
     for i, (a, b) in enumerate(comps):
         out[a, b] = vals[i]
-    return out if spectral else grid_first(out)
+    return out
+
+
+def tr_r_wedge_r(grid: PeriodicGrid, r_field: np.ndarray) -> np.ndarray:
+    """Pointwise Tr(R ^ R) as a Psi22 field (dealiased product).
+
+    r_field may be compact (grid.shape + (c, c, 3, 3), as chern_curvature
+    returns it) or dense (grid.shape + (3, 3, 3, 3)); only its active slabs
+    are read.  Only the traces and output components that the oracle's
+    wedge table can make nonzero are computed and dealiased, by band
+    transforms, in the trace loop the torus rate runs (_wedge_traces).
+    """
+    r = np.moveaxis(r_field, (-4, -3, -2, -1), (0, 1, 2, 3))
+    return grid_first(_wedge_traces(grid, lambda k, j, p, s: r[k, j, p, s], spectral=False))
+
+
+def _band_tr_r_wedge_r(grid: PeriodicGrid, ohat: np.ndarray, base: np.ndarray, gate: bool) -> np.ndarray:
+    """Band coefficients of Tr(R ^ R) of the band-limited metric omega_d, streamed.
+
+    omega_d = band_inverse(ohat) + base, with ohat the component-first band
+    coefficients (3, 3) + grid.band_shape and base a constant (3, 3) + (1,)
+    * 2c.  gate checks the positivity of omega_d (PositivityError naming the
+    metric field).  Its inverse is built once (_metric_inverse), del_j omega
+    is a multiplier on ohat, and _connection_band takes omega^{-1} del_j
+    omega one column at a time; then _wedge_traces band-inverts R one pair
+    of slabs at a time (_curvature_slabs).  Neither R nor the connection is
+    ever whole on the grid.  The result is component-first, (3, 3) +
+    grid.band_shape.
+    """
+    omega_d = band_inverse(grid, ohat)
+    omega_d += base
+    if gate:
+        assert_positive_field(grid_first(omega_d), "metric field")
+    pinv = _metric_inverse(omega_d)
+    del omega_d
+    dz, _ = _symbols(grid, band=True)
+    ahat = _connection_band(grid, pinv, lambda j, s: band_inverse(grid, ohat[:, s] * dz[j]))
+    del pinv
+    return _wedge_traces(grid, _curvature_slabs(grid, ahat), spectral=True)
 
 
 @lru_cache(maxsize=None)
