@@ -34,7 +34,7 @@ grid.shape + (3, 3) layout.  The torus pipeline touches only the components
 its rate reads and writes: TorusProblem.support is what i del delbar writes
 (grid._iddbar_support), plus, when a' != 0, the components of Tr(R ^ R) and
 of Phi_0.  Only the entries of omega that i del delbar reads are built
-(after the gate) and band-transformed, and only the support is
+and band-transformed, and only the support is
 band-inverted, so the other components of Psi keep their start values; at
 c = 2 every set is all nine.  No flow, fixture or monitor takes a full-size
 transform: Phi_0, the initial Psi and every increment are band-limited.
@@ -48,9 +48,13 @@ and its transpose, which hermitize mixes in); TorusProblem keeps the others'
 coefficients from Psi_0.  At c = 1 d reads only row and column 0, which no
 step writes, so the residual's numerator is fixed by Psi_0.
 
-Degenerate events (loss of pointwise positivity, loss of the parabolicity
-margin, non-finite values) halt the run with a diagnostic snapshot instead
-of clamping; the recorded state reproduces the halt condition.
+The torus gate applies the positivity rule (pointwise.assert_positive) to
+Psi, whose eigenvalues mu1 <= mu2 <= mu3 give the rest: omega's are mu2 mu3,
+mu1 mu3, mu1 mu2 over |Omega|^2, so min_eig_omega is mu1 mu2 / |Omega|^2 and,
+with ||Omega||_omega = |Omega|^4 / det Psi, the CFL scale 1/(2 ||Omega||_omega
+lam_min(omega)) is mu3 / (2 |Omega|^2).  Degenerate events (a failed rule, a
+lost parabolicity margin, non-finite values) halt the run with a diagnostic
+snapshot instead of clamping; the recorded state reproduces the halt.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import ConditioningError, PositivityError
 from .grid import (
     PeriodicGrid,
     _band_tr_r_wedge_r,
@@ -71,7 +75,6 @@ from .grid import (
     _row_index,
     _wedge_terms,
     along_axis,
-    assert_positive_field,
     band_forward,
     band_inverse,
     band_l2_norm,
@@ -83,7 +86,7 @@ from .grid import (
     i_ddbar_11,
     random_bandlimited_herm3,
 )
-from .pointwise import _cofactor, det3, hermitize, omega_from_psi, psi_from_omega
+from .pointwise import adjugate_entries, assert_positive, hermitize, omega_from_psi, psi_from_omega
 
 MONITOR_TOL_CLOSED = 1e-8
 BAND_RTOL = 1e-12
@@ -285,10 +288,10 @@ def _integrate(grid, y, t_final, ctrl, names, gate, rhs, monitors,
     """The time-stepping loop: gate, CFL dt, RK4 step, finiteness, monitors.
 
     gate(y) gives a halt reason or (largest diffusion coefficient, pre-step
-    monitors, data that rhs(y, data) reuses at the first stage).  rhs is the
-    rate in the flow's own representation, which to_state maps to the state
-    space.  finish post-processes each accepted state, and monitors(y, t, k1)
-    gives the post-step monitors.
+    monitors, *data): the first stage calls rhs(y, *data), the others
+    rhs(y).  rhs is the rate in the flow's own representation, which
+    to_state maps to the state space.  finish post-processes each accepted
+    state, and monitors(y, t, k1) gives the post-step monitors.
     """
     hist = FlowHistory(names)
     h2 = grid.spacing**2
@@ -298,14 +301,14 @@ def _integrate(grid, y, t_final, ctrl, names, gate, rhs, monitors,
         if isinstance(gated, str):
             hist.halt = HaltInfo(gated, step, t, y.copy())
             break
-        dmax, pre, data = gated
+        dmax, pre, *data = gated
         dt = ctrl.cfl * h2 / dmax if ctrl.dt_fixed is None else ctrl.dt_fixed
         dt = min(dt, ctrl.dt_max, t_final - t)
         if dt < ctrl.dt_min:
             hist.halt = HaltInfo("instability", step, t, y.copy())
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = k = rhs(y, data)
+            k1 = k = rhs(y, *data)
             incr = (dt / 6.0) * k1
             for c, w in ((0.5, 1.0 / 3.0), (0.5, 1.0 / 3.0), (1.0, 1.0 / 6.0)):
                 y_s = to_state((c * dt) * k)
@@ -427,16 +430,10 @@ def _band_coefficients(g: PeriodicGrid, field: np.ndarray, name: str) -> np.ndar
 
 def _omega(psi_field: np.ndarray, abs_omega: float, entries) -> np.ndarray:
     """omega = adj(Psi)/|Omega|^2 pointwise at the entries listed (flat indices 3 j + k),
-    stacked component-first: (len(entries),) + grid.shape.
-
-    Each entry comes from the cofactor table, and the division is one
-    multiply by the real 1/|Omega|^2 (exact at |Omega| = 1).
-    """
+    stacked component-first: (len(entries),) + grid.shape.  The division is one
+    multiply by the real 1/|Omega|^2 (exact at |Omega| = 1)."""
     v = comp_first(psi_field)
-    v = v.reshape((9,) + v.shape[2:])
-    omega = np.empty((len(entries),) + v.shape[1:], dtype=complex)
-    for i, e in enumerate(entries):
-        omega[i] = _cofactor(v, e)
+    omega = adjugate_entries(v.reshape((9,) + v.shape[2:]), entries)
     parts = omega.view(np.float64)
     parts *= 1.0 / abs_omega**2
     return omega
@@ -453,7 +450,7 @@ def _anomaly_terms(g: PeriodicGrid, omega: np.ndarray, curvature: bool, gate: bo
     and no curvature is computed, unless curvature is asked for and the
     oracle's wedge table has a term at the grid's c; at c = 1 Tr(R ^ R)
     vanishes identically.  It is streamed (grid._band_tr_r_wedge_r), and
-    gate checks the positivity of omega_d first.
+    gate applies the positivity rule to omega_d first.
     """
     # derivatives annihilate constants; shifting by one value keeps that exact
     base = omega[(slice(None),) + (slice(1),) * (2 * g.complex_dims)]
@@ -501,22 +498,15 @@ def torus_rhs(psi_field: np.ndarray, prob: TorusProblem) -> np.ndarray:
 
 
 def _torus_gate(psi_field: np.ndarray, prob: TorusProblem):
-    """Positivity gate plus CFL data: (max diffusion coeff, min eig of omega, omega).
+    """Positivity gate plus CFL data: (max diffusion coeff, min eig of omega).
 
-    The diffusion scale is lam_max(omega^{-1}) / (2 ||Omega||_omega) over the
-    grid; raises PositivityError if omega (equivalently Psi) degenerates,
-    testing the sign of det Psi before dividing by it.  omega is all nine
-    entries, stacked component-first as _omega gives them.
+    The rule's errors propagate.  omega is positive exactly where Psi is, with
+    the same condition number, and both values come from Psi's eigenvalues.
     """
-    det = np.real(det3(psi_field))
-    if np.any(det <= 0):
-        raise PositivityError("Psi lost pointwise positivity (det <= 0)")
-    nrm = prob.abs_omega**4 / det
-    omega = _omega(psi_field, prob.abs_omega, range(9))
-    lam_min = assert_positive_field(grid_first(omega.reshape((3, 3) + prob.grid.shape)), "omega")
-    min_eig = float(lam_min.min())
-    dmax = float((1.0 / (2.0 * nrm * lam_min)).max())
-    return dmax, min_eig, omega
+    mu = assert_positive(psi_field, "Psi")
+    scale = 1.0 / prob.abs_omega**2
+    min_eig = float((mu[..., 0] * mu[..., 1]).min()) * scale
+    return float(mu[..., 2].max()) * 0.5 * scale, min_eig
 
 
 def torus_run(
@@ -529,28 +519,23 @@ def torus_run(
 
     The rate is kept as band coefficients of the components in
     prob.support: Psi + to_state(c*dt*khat) is exactly Psi + c*dt*k for the
-    dealiased rhs k, and the other components of Psi never change.  The
-    gate's omega (all nine entries, for the positivity check) feeds the
-    first stage, which pops it from the gate's data, so that it is freed
-    before the later stages; they build only the entries the rate reads.
-    Monitors: balanced_residual of the new state, min_eig_omega of the
-    state before the step and the rhs norm, read from the band (see the
-    module docstring).
+    dealiased rhs k, and the other components of Psi never change.  Either
+    error of the gate's positivity rule halts with "positivity".  Monitors:
+    balanced_residual of the new state, min_eig_omega of the state before
+    the step and the rhs norm, read from the band (see the module docstring).
     """
     g = prob.grid
     reads, _ = _iddbar_support(g.complex_dims)
 
     def gate(psi):
         try:
-            dmax, min_eig, omega = _torus_gate(psi, prob)
-        except PositivityError:
+            dmax, min_eig = _torus_gate(psi, prob)
+        except (PositivityError, ConditioningError):
             return "positivity"
-        return dmax, {"min_eig_omega": min_eig}, [omega[_row_index(reads)]]
+        return dmax, {"min_eig_omega": min_eig}
 
-    def rhs(psi, held=None):
-        # popped: the driver's reference to the gate's data must not keep omega alive
-        omega = held.pop() if held else _omega(psi, prob.abs_omega, reads)
-        return _torus_rate(prob, omega)
+    def rhs(psi):
+        return _torus_rate(prob, _omega(psi, prob.abs_omega, reads))
 
     def to_state(khat):
         return grid_first(band_inverse(g, khat, rows=prob.support))

@@ -9,7 +9,9 @@ and the modified star operator.  All matrices follow the convention of
 Every function accepts stacked inputs of shape ``(..., 3, 3)`` and broadcasts
 over the leading axes; validation reports the worst offending slice.  The
 scalar ``abs_omega`` (``|Omega|``) may be a number or an array over those
-leading axes, one value per matrix.
+leading axes, one value per matrix.  assert_positive is the package's one
+positivity rule, for one matrix or a grid of them: no other module raises
+its errors or reads its thresholds.
 
 The Hodge star is implemented as
 
@@ -32,6 +34,7 @@ from .errors import ConditioningError, PositivityError
 HERMITIAN_RTOL = 1e-10
 POSITIVITY_EPS = 1e-12
 COND_MAX = 1e12
+_CLOSED_FORM_MIN = 32  # 3x3 matrices: both eigenvalue kernels take about 40 us (one core)
 
 
 def det3(m):
@@ -65,6 +68,15 @@ def _cofactor(v, e):
     return v[p] * v[q] - v[r] * v[s]
 
 
+def adjugate_entries(v, entries):
+    """The listed adjugate entries (flat indices 3 i + j) of matrices whose flat entries
+    are v[0], ..., v[8], stacked component-first: (len(entries),) + v.shape[1:]."""
+    out = np.empty((len(entries),) + v.shape[1:], dtype=complex)
+    for i, e in enumerate(entries):
+        out[i] = _cofactor(v, e)
+    return out
+
+
 def adjugate3(m):
     """Adjugate of (..., 3, 3): adj(m) = det(m) * inv(m), in closed form.
 
@@ -89,78 +101,92 @@ def hermitize(m):
     return out
 
 
-def herm3_min_eig(m):
-    """Smallest eigenvalue of stacked Hermitian 3x3 matrices, in closed form.
+def herm3_eigvals(m):
+    """Ascending eigenvalues of stacked Hermitian 3x3 matrices, in closed form: (..., 3).
 
-    Trigonometric solution of the characteristic cubic, in real arithmetic:
-    only the diagonal and the upper entries are read, and det(m - q I)
-    comes from them with no 3x3 field built.  Against numpy.linalg.eigvalsh,
-    over 4096 random frames each, the largest relative error of the
-    smallest eigenvalue was 8e-14 at condition number 1.001, 6e-11 at 1e2,
-    4e-7 at 1e4 and 5e-3 at 1e6 (medians 2e-16, 2e-14, 1e-11, 1e-8).  Where
-    the two smallest eigenvalues cluster far below the largest the cubic's
-    root loses about half the digits: at eigenvalues (1e-9, 2e-9, 1) the
-    median relative error was 0.5.  Good for monitors and gating, not for
-    condition-number-critical work.  Entries must stay below about 1e100
-    in magnitude, so that their cubes are finite.
+    The characteristic cubic's trigonometric roots in real arithmetic, from the
+    diagonal and upper entries; the middle one is the trace minus the others.
+    The smallest root's relative error grows like cond * 1e-16, and about half
+    the digits go where the two smallest eigenvalues cluster far below the
+    largest (ROADMAP item 9).  Entries must stay below about 1e100.
     """
-    a00 = np.real(m[..., 0, 0])
-    a11 = np.real(m[..., 1, 1])
-    a22 = np.real(m[..., 2, 2])
-    a01, a02, a12 = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
+    # each entry read once: in a grid-first stack every entry is strided
+    a00, a11, a22 = (np.ascontiguousarray(np.real(m[..., i, i])) for i in range(3))
+    a01, a02, a12 = (np.ascontiguousarray(m[..., i, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
     q = (a00 + a11 + a22) / 3.0
     s01, s02, s12 = (np.real(a) ** 2 + np.imag(a) ** 2 for a in (a01, a02, a12))
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
-    p2 = b00**2 + b11**2 + b22**2 + 2.0 * (s01 + s02 + s12)
-    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
+    p = np.sqrt((b00**2 + b11**2 + b22**2 + 2.0 * (s01 + s02 + s12)) / 6.0)
     # det(m - q I) = b00 b11 b22 + 2 Re(a01 a12 conj(a02)) - b00 |a12|^2 - b11 |a02|^2 - b22 |a01|^2
     t = a01 * a12
     det = b00 * b11 * b22
     det += 2.0 * (np.real(t) * np.real(a02) + np.imag(t) * np.imag(a02))
     det -= b00 * s12 + b11 * s02 + b22 * s01
-    safe = np.where(p > 0.0, p, 1.0)
-    r = np.clip(det / (2.0 * safe**3), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.where(p2 > 0.0, lam_min, q)
+    phi = np.arccos(np.clip(det / (2.0 * np.where(p > 0.0, p, 1.0) ** 3), -1.0, 1.0)) / 3.0
+    lo, hi = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(phi)
+    return np.stack([lo, 3.0 * q - lo - hi, hi], axis=-1)
+
+
+def herm3_min_eig(m):
+    """Smallest eigenvalue of stacked Hermitian 3x3 matrices, from herm3_eigvals."""
+    return herm3_eigvals(m)[..., 0]
+
+
+def _hermitian_residuals(m):
+    """max|m - m^H| / max|m| per matrix (0 for a zero matrix)."""
+    diff = m - np.conj(np.swapaxes(m, -1, -2))
+    if not diff.any():  # exactly Hermitian, as hermitize leaves it: no scales needed
+        return np.zeros(diff.shape[:-2])
+    # a zero matrix has a zero diff, and the floor leaves every nonzero scale as it is
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), np.finfo(float).smallest_subnormal)
+    return np.abs(diff).max(axis=(-2, -1)) / scale
 
 
 def hermitian_residual(m) -> float:
     """max|m - m^H| / max|m| per matrix, worst over the stack (0 for a zero matrix)."""
-    diff = np.abs(m - np.conj(np.swapaxes(m, -1, -2)))
-    if not diff.any():  # exactly Hermitian, as hermitize leaves it: no scales needed
-        return 0.0
-    # a zero matrix has a zero diff, and the floor leaves every nonzero scale as it is
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True), np.finfo(float).smallest_subnormal)
-    return float((diff / scale).max())
+    return float(_hermitian_residuals(m).max())
 
 
-def assert_hermitian(m, name="matrix"):
-    res = hermitian_residual(m)
-    if res > HERMITIAN_RTOL:
-        raise PositivityError(f"{name} is not Hermitian (residual {res:.3e})")
+def _at(values, i) -> str:
+    """' at index (...)' for flat index i of a stack of values, '' for one matrix."""
+    return f" at index {tuple(int(k) for k in np.unravel_index(i, values.shape))}" if values.ndim else ""
 
 
 def assert_positive(m, name="matrix"):
-    """Validate Hermitian positive definiteness and conditioning.
+    """The positivity rule for one matrix or a stack, (..., n, n): the ascending eigenvalues.
 
-    Eigenvalues must exceed POSITIVITY_EPS * trace: a nonpositive eigenvalue
-    raises PositivityError, a positive one below the threshold (or a
-    condition number above COND_MAX) raises ConditioningError.  Returns the
-    eigenvalues, stacked along the leading axes.
+    m must be Hermitian (relative residual at most HERMITIAN_RTOL).  That,
+    or a least eigenvalue lam_min <= 0, raises PositivityError; lam_min <=
+    POSITIVITY_EPS * |trace| or a condition number above COND_MAX raises
+    ConditioningError.  Each message names m, the worst stack index and its
+    value.  Stacks of _CLOSED_FORM_MIN or more 3x3 matrices take
+    herm3_eigvals (0.26 ms at 4096, eigvalsh 5 ms), and eigvalsh where
+    lam_min <= sqrt(eps) |trace|, as the closed form loses digits there;
+    others take eigvalsh (5 us for one matrix, the closed form 36).
     """
-    assert_hermitian(m, name)
-    eigs = np.linalg.eigvalsh(m)
-    worst = float(eigs[..., 0].min())
-    if worst <= 0.0:
-        raise PositivityError(f"{name} is not positive definite (min eig {worst:.3e})")
-    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
-    cond = eigs[..., -1] / eigs[..., 0]
-    if np.any(eigs[..., 0] <= POSITIVITY_EPS * np.abs(tr)) or np.any(cond > COND_MAX):
-        raise ConditioningError(
-            f"{name} is too ill-conditioned (min eig {worst:.3e}, "
-            f"cond {float(cond.max()):.3e})"
-        )
+    m = np.asarray(m)
+    res = _hermitian_residuals(m)
+    i = np.argmax(res)
+    if res.flat[i] > HERMITIAN_RTOL:
+        raise PositivityError(f"{name} is not Hermitian{_at(res, i)} (residual {res.flat[i]:.3e})")
+    tr = np.abs(np.real(np.einsum("...ii->...", m)))
+    if m.shape[-2:] == (3, 3) and m.size >= 9 * _CLOSED_FORM_MIN:
+        eigs = herm3_eigvals(m)
+        near = eigs[..., 0] <= np.sqrt(np.finfo(float).eps) * tr
+        eigs[near] = np.linalg.eigvalsh(m[near])
+    else:
+        eigs = np.linalg.eigvalsh(m)
+    lam_min = eigs[..., 0]
+    i = np.argmin(lam_min)
+    if not lam_min.flat[i] > 0.0:  # a NaN is not positive either
+        raise PositivityError(f"{name} is not positive definite{_at(lam_min, i)} "
+                              f"(min eig {lam_min.flat[i]:.3e})")
+    cond = eigs[..., -1] / lam_min
+    bad = (lam_min <= POSITIVITY_EPS * tr) | (cond > COND_MAX)
+    if bad.any():
+        i = np.argmax(np.where(bad, cond, -np.inf))
+        raise ConditioningError(f"{name} is too ill-conditioned{_at(cond, i)} "
+                                f"(min eig {lam_min.flat[i]:.3e}, cond {cond.flat[i]:.3e})")
     return eigs
 
 

@@ -11,7 +11,7 @@ from anomaly_flow import flow as fl
 from anomaly_flow import grid as gr
 from anomaly_flow import linearize as lin
 from anomaly_flow import pointwise as pw
-from anomaly_flow.errors import PositivityError
+from anomaly_flow.errors import ConditioningError, PositivityError
 
 G16 = gr.PeriodicGrid(2, 16)
 G32T = gr.PeriodicGrid(1, 32)
@@ -623,6 +623,25 @@ def test_torus_gate_halts_a_singular_psi_without_a_warning():
     # det Psi = 0 at one point: the gate tests its sign before dividing by it
     prob = _c1_problem(0.0)
     prob.psi0[3, 5] = 0.0
+    hist = fl.torus_run(prob, 0.01, fl.DtControl(dt_fixed=0.002))
+    assert hist.halt is not None and hist.halt.reason == "positivity"
+    assert hist.halt.step == 0 and not hist.steps
+
+
+@pytest.mark.parametrize("eigs, error", [
+    # cond 1e13: omega = adj(Psi) is then nearly rank one and its computed entries are
+    # roundoff, so a test on omega passed this point (det Psi > 0, lam_min(omega) > 0)
+    ((1e-13, 1e-13, 1.0), ConditioningError),
+    ((-1.0, -1.0, 1.0), PositivityError),  # det Psi > 0, but Psi is indefinite
+], ids=["cond_1e13", "indefinite_det_positive"])
+def test_torus_gate_applies_the_positivity_rule_to_psi(eigs, error):
+    prob = _c1_problem(0.0)
+    rng = np.random.default_rng(1)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    prob.psi0[3, 5] = pw.hermitize((u * np.array(eigs)) @ u.conj().T)
+    assert np.real(pw.det3(prob.psi0[3, 5])) > 0
+    with pytest.raises(error, match=r"Psi is .* at index \(3, 5\)"):
+        fl._torus_gate(prob.psi0, prob)
     hist = fl.torus_run(prob, 0.01, fl.DtControl(dt_fixed=0.002))
     assert hist.halt is not None and hist.halt.reason == "positivity"
     assert hist.halt.step == 0 and not hist.steps

@@ -1,6 +1,7 @@
 """Spectral calculus on the periodic lattice."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,17 +182,30 @@ def test_chern_curvature_positivity_gate():
         gr.chern_curvature(G1, wf)
 
 
-def test_assert_positive_field_returns_the_least_eigenvalue():
-    # the metric of the c = 2 stationary fixture: the closed form against LAPACK
+def test_assert_positive_field_eigenvalues_match_eigvalsh():
+    # the metric of the c = 2 stationary fixture: its 65536 points take the closed form
     omega = make_balanced_omega0(G2, 1.0, 11, amplitude=0.04, kmax=3)
-    lam = gr.assert_positive_field(omega, "omega")
-    ref = np.linalg.eigvalsh(omega)[..., 0]
-    assert lam.shape == G2.shape
-    assert np.all(np.abs(lam - ref) <= 1e-12 * np.abs(ref))
+    eigs = gr.assert_positive_field(omega, "omega")
+    ref = np.linalg.eigvalsh(omega)
+    assert eigs.shape == G2.shape + (3,)
+    assert np.all(np.abs(eigs - ref) <= 1e-12 * np.abs(ref))
     bad = omega.copy()
     bad[3, 5, 7, 2] = np.diag([1.0, -0.5, 2.0])
-    with pytest.raises(PositivityError, match="probe field lost pointwise positivity"):
+    with pytest.raises(PositivityError, match=r"probe field is not positive definite at index \(3, 5, 7, 2\)"):
         gr.assert_positive_field(bad, "probe field")
+
+
+def test_random_bandlimited_herm3_accumulates_in_place():
+    # the field is 9 slabs; each mode adds into it one entry at a time, through one-slab
+    # temporaries (14 slabs traced in all, 34 when every mode built whole 3x3 sums)
+    g = gr.PeriodicGrid(2, 8)
+    tracemalloc.start()
+    try:
+        gr.random_bandlimited_herm3(g, np.random.default_rng(3), 2, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 16 * g.points_per_dim**4, peak
 
 
 def test_chern_curvature_spectral_convergence():

@@ -1,5 +1,8 @@
 """Pointwise Hermitian algebra: roots, stars, variations."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +62,56 @@ def test_hermitian_residual_is_per_slice():
     zero = np.zeros((3, 3), dtype=complex)
     assert pw.hermitian_residual(zero) == 0.0
     assert pw.hermitian_residual(np.stack([zero, b])) == pw.hermitian_residual(b)
+
+
+def _grid_of(m, point, n=64):
+    """A c = 1 grid field of 2 I (n^2 points: the closed-form path) with m at one point."""
+    field = np.broadcast_to(2.0 * I3, (n, n, 3, 3)).copy()
+    field[point] = m
+    return field
+
+
+def test_cond_1e13_is_a_conditioning_error_at_a_point_and_on_a_grid():
+    bad = _random_frame_stack(np.random.default_rng(5), np.array([1e-13, 0.5, 1.0]))
+    with pytest.raises(ConditioningError, match=r"omega is too ill-conditioned \(min eig"):
+        pw.assert_positive(bad, "omega")
+    with pytest.raises(ConditioningError, match=r"omega is too ill-conditioned at index \(5, 9\)"):
+        gr.assert_positive_field(_grid_of(bad, (5, 9)), "omega")
+
+
+def test_clustered_small_eigenvalues_keep_the_eigvalsh_verdict():
+    # (3e-12, 4e-12, 1) passes the rule (cond 3.3e11), but the closed form alone puts
+    # the least eigenvalue of this frame at -4e-9: such points are redone by eigvalsh
+    m = _random_frame_stack(np.random.default_rng(1), np.array([3e-12, 4e-12, 1.0]))
+    eigs = gr.assert_positive_field(_grid_of(m, (5, 9)), "omega")
+    np.testing.assert_allclose(eigs[5, 9], np.linalg.eigvalsh(m), rtol=1e-12)
+
+
+def test_a_non_hermitian_grid_point_is_named():
+    bad = 2.0 * I3
+    bad[0, 1] += 1e-6
+    with pytest.raises(PositivityError, match=r"metric is not Hermitian at index \(7, 3\)"):
+        gr.assert_positive_field(_grid_of(bad, (7, 3)), "metric")
+
+
+def test_only_pointwise_decides_positivity():
+    # one rule, pointwise.assert_positive: no other module of the package raises its
+    # errors or reads its thresholds
+    offenders = []
+    for path in sorted(Path(pw.__file__).parent.glob("*.py")):
+        if path.name == "pointwise.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names = {getattr(exc, "id", None), getattr(exc, "attr", None)}
+                hit = names & {"PositivityError", "ConditioningError"}
+            else:
+                names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+                hit = names & {"POSITIVITY_EPS", "COND_MAX"}
+            if hit:
+                offenders.append(f"{path.name}:{node.lineno} {sorted(hit)}")
+    assert not offenders, offenders
 
 
 def test_norm_omega_values():
