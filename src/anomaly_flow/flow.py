@@ -33,20 +33,19 @@ grid_first views; the state, the snapshots and torus_rhs keep the
 grid.shape + (3, 3) layout.  The torus pipeline touches only the components
 its rate reads and writes: TorusProblem.support is what i del delbar writes
 (grid._iddbar_support), plus, when a' != 0, the components of Tr(R ^ R) and
-of Phi_0.  Only the entries of omega that i del delbar reads are built
-and band-transformed, and only the support is
-band-inverted, so the other components of Psi keep their start values; at
-c = 2 every set is all nine.  No flow, fixture or monitor takes a full-size
-transform: Phi_0, the initial Psi and every increment are band-limited.
+of Phi_0.  Only the entries of omega that i del delbar reads are built and
+band-transformed, and only the support is band-inverted, so the other
+components of Psi keep their start values; at c = 2 every set is all nine.
+No flow, fixture or monitor takes a full-size transform.
 
 The monitors read only what can change.  rhs_norm is a Parseval sum over
-the band coefficients of the step's first-stage rate (grid.band_l2_norm),
-with no inverse transform.  The torus balanced_residual equals
-grid.d_residual_22 of the new state, which reads the state on the band, but
-band-transforms only the rows d reads that a step can change (the support
-and its transpose, which hermitize mixes in); TorusProblem keeps the others'
-coefficients from Psi_0.  At c = 1 d reads only row and column 0, which no
-step writes, so the residual's numerator is fixed by Psi_0.
+the band coefficients of the step's first-stage rate (grid.band_l2_norm).
+The torus balanced_residual is grid.d_residual_22 of the new state, bit for
+bit, but d is linear: TorusProblem keeps d of the rows d reads that no step
+moves (all but the support and its transpose, which hermitize mixes in),
+taken once from Psi_0, and the monitor transforms and applies d to the
+others only.  At c = 1 no step moves a row d reads, so the norm of d is
+taken once per run.
 
 The torus gate applies the positivity rule (pointwise.assert_positive) to
 Psi, whose eigenvalues mu1 <= mu2 <= mu3 give the rest: omega's are mu2 mu3,
@@ -68,9 +67,10 @@ from .errors import ConditioningError, PositivityError
 from .grid import (
     PeriodicGrid,
     _band_tr_r_wedge_r,
-    _d22_band,
+    _d22,
+    _d22_blocks,
+    _d22_l2,
     _d22_residual,
-    _d22_rows,
     _iddbar_support,
     _row_index,
     _wedge_terms,
@@ -212,15 +212,14 @@ def _laplacian(grid: PeriodicGrid, g: np.ndarray) -> np.ndarray:
     return lap
 
 
-def _fields(prob: FuYauProblem, u: np.ndarray, eu=None):
+def _fields(prob: FuYauProblem, u: np.ndarray):
     """(e^u, e^{-u}, Hessian data or None) at a state; e^u is taken once.
 
     The Hessian is skipped when a' = 0, where sigma2 drops out.  Overflow is
     left to the halt checks.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        if eu is None:
-            eu = np.exp(u)
+        eu = np.exp(u)
         emu = np.reciprocal(eu)
     hess = _complex_hessian(prob.grid, u) if prob.alpha_p != 0.0 else None
     return eu, emu, hess
@@ -353,12 +352,11 @@ def fu_yau_run(
     ctrl = ctrl or DtControl()
     g = prob.grid
     u = prob.initial_state(u0)
-    eu = np.exp(u)  # of the current state: set by the monitors, read by the gate
-    e0 = float(grid_mean(g, eu))
+    e0 = float(grid_mean(g, np.exp(u)))
     mu_mean = float(grid_mean(g, prob.mu))
 
     def gate(u):
-        fields = _fields(prob, u, eu)
+        fields = _fields(prob, u)
         lo, hi = _margin_bounds(prob, *fields)
         margin = float(lo.min())
         if margin <= 0.0:
@@ -370,10 +368,8 @@ def fu_yau_run(
         return _rhs_band(prob, *(_fields(prob, u) if fields is None else fields))
 
     def monitors(u, t, k1):
-        nonlocal eu
-        eu = np.exp(u)
         return {
-            "conservation_gap": float(grid_mean(g, eu)) - e0 - t * mu_mean,
+            "conservation_gap": float(grid_mean(g, np.exp(u))) - e0 - t * mu_mean,
             "rhs_norm": band_l2_norm(g, k1),
         }
 
@@ -407,14 +403,25 @@ class TorusProblem:
             support.update(np.flatnonzero(np.any(phi0_band != 0, axis=1)).tolist())
         self.support = tuple(sorted(support))
         self.phi0_band = phi0_band[_row_index(self.support)].reshape((-1,) + g.band_shape)
-        # the rows d reads that no step can change, as the balanced monitor reads them:
-        # hermitize mixes (a, b) with (b, a), so the support and its transpose move
+        # a step moves the support and its transpose, which hermitize mixes in; d of the
+        # other rows d reads is taken once, from Psi_0, and at c = 1 that is all of d
         moving = set(self.support) | {3 * (e % 3) + e // 3 for e in self.support}
-        fixed = [r for r in _d22_rows(g.complex_dims) if r not in moving]
-        self._d22_known = dict(zip(fixed, _d22_band(g, comp_first(self.psi0), fixed))) if fixed else {}
-        res = _d22_residual(g, self.psi0, self._d22_known)
+        rows = _d22_blocks(g.complex_dims)[0]
+        self._d22_moving = tuple(r for r in rows if r in moving)
+        fixed = [r for r in rows if r not in moving]
+        self._d22_fixed = _d22(g, self.psi0, fixed) if fixed else 0.0
+        self._d22_num = None if self._d22_moving else _d22_l2(g, self._d22_fixed)
+        res = self._balanced_residual(self.psi0)
         if res >= MONITOR_TOL_CLOSED:
             raise ValueError(f"initial state is not balanced (residual {res:.3e})")
+
+    def _balanced_residual(self, psi: np.ndarray) -> float:
+        """d_residual_22 of a state of this flow, bit for bit: d is linear, so it is
+        applied to the moving rows alone and d of the others added."""
+        num = self._d22_num
+        if num is None:
+            num = _d22_l2(self.grid, _d22(self.grid, psi, self._d22_moving) + self._d22_fixed)
+        return _d22_residual(self.grid, psi, num)
 
 
 def _band_coefficients(g: PeriodicGrid, field: np.ndarray, name: str) -> np.ndarray:
@@ -541,7 +548,7 @@ def torus_run(
         return grid_first(band_inverse(g, khat, rows=prob.support))
 
     def monitors(psi, t, k1):
-        return {"balanced_residual": _d22_residual(g, psi, prob._d22_known), "rhs_norm": band_l2_norm(g, k1)}
+        return {"balanced_residual": prob._balanced_residual(psi), "rhs_norm": band_l2_norm(g, k1)}
 
     return _integrate(g, prob.psi0.copy(), t_final, ctrl or DtControl(), TORUS_MONITORS, gate,
                       rhs, monitors, to_state=to_state, finish=hermitize, on_step=on_step)
@@ -565,10 +572,9 @@ def make_balanced_omega0(
     eta = random_bandlimited_herm3(grid, rng, kmax, amplitude)
     reads, writes = _iddbar_support(grid.complex_dims)
     ehat = band_forward(grid, comp_first(eta).reshape((9,) + grid.shape)[_row_index(reads)])
-    iddbar = grid_first(band_inverse(grid, i_ddbar_11(grid, ehat), rows=writes))
-    base = psi_from_omega(2.0 * np.eye(3, dtype=complex), abs_omega)
-    psi0 = np.broadcast_to(base, grid.shape + (3, 3)).copy()
-    psi0 += hermitize(iddbar)
+    del eta
+    psi0 = hermitize(grid_first(band_inverse(grid, i_ddbar_11(grid, ehat), rows=writes)))
+    psi0 += psi_from_omega(2.0 * np.eye(3, dtype=complex), abs_omega)
     omega0, _ = omega_from_psi(psi0, abs_omega)
     return omega0
 

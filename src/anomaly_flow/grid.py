@@ -19,18 +19,18 @@ T.shape + grid.shape (comp_first), so every grid slab of one component is
 contiguous: a band transform is then one gemm per grid axis, and the
 pointwise 3x3 algebra runs on grid_first views of the same memory.  Band
 coefficients of such a field (band_forward) have shape T.shape + band_shape.
-i_ddbar_11 maps band coefficients to band coefficients, and d_residual_22
-works on the band coefficients of a band-limited field.  Both touch only the
-components they need: the oracle's table fixes the support of i del delbar
-at the grid's c (_iddbar_support: the entries of omega it reads, 3 j + k,
-and those of Psi it writes, 3 a + b; the 2x2 block a, b in {1, 2} at c = 1,
-all nine at c = 2), i_ddbar_11 maps the stacked coefficients of the one set
-to those of the other, and band_inverse(rows=) puts such a stack back into a
-whole 3x3 field.  d_residual_22 transforms the components in a row or a
-column j < c, those d reads (_d22_rows), and assembles d on the band
-(_d22_norm); _d22_residual lets a caller supply the coefficients of rows it
-knows to be unchanged.  band_l2_norm is l2_norm by Parseval on band
-coefficients.
+
+The two band operators, i_ddbar_11 and d on (2,2)-forms, are built from the
+oracle alike: a table per derivative, whose nonzero columns are the
+components the operator reads (flat indices 3 a + b), and _band_apply sums
+each band multiplier times its table applied to the stacked coefficients of
+those components.  i del delbar reads and writes the 2x2 block a, b in
+{1, 2} at c = 1 and all nine at c = 2 (_iddbar_support), and
+band_inverse(rows=) puts a stack back into a whole 3x3 field; d reads row
+and column 0 at c = 1 and all but [2, 2] at c = 2 (_d22_blocks), and
+d_residual_22 transforms only those.  d is linear, so _d22 applies it to
+any subset of rows, and the norm of the sum is _d22_l2.  band_l2_norm is
+l2_norm by Parseval on band coefficients.
 
 The curvature has one assembly and one trace loop.  _connection_band builds
 the band coefficients of omega^{-1} del_j omega one column at a time from
@@ -366,13 +366,27 @@ def _iddbar_support(c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _iddbar_blocks(c: int) -> np.ndarray:
-    """The gemm table restricted to (writes, reads) at c active dims, per (l, m) < c:
-    blocks[l, m] @ (stacked coefficients of the reads) gives those of the writes."""
+    """The gemm table restricted to (writes, reads) at c active dims, one block per
+    (l, m) < c in np.ndindex order: blocks[c l + m] @ (stacked coefficients of the
+    reads) gives those of the writes."""
     reads, writes = _iddbar_support(c)
-    blocks = np.ascontiguousarray(
-        np.swapaxes(_iddbar_gemm_table()[:c, :c][:, :, reads][:, :, :, writes], -1, -2))
+    table = _iddbar_gemm_table()[:c, :c].reshape(c * c, 9, 9)
+    blocks = np.ascontiguousarray(np.swapaxes(table[:, reads][:, :, writes], -1, -2))
     blocks.flags.writeable = False
     return blocks
+
+
+def _band_apply(grid: PeriodicGrid, blocks, mults, chat: np.ndarray) -> np.ndarray:
+    """sum over i of mults[i] * (blocks[i] @ chat), term by term: gemm, multiply by the
+    band multiplier, accumulate.  chat stacks (blocks.shape[-1],) + grid.band_shape
+    coefficients; the result is (blocks.shape[-2],) + grid.band_shape."""
+    flat = chat.reshape(blocks.shape[-1], -1)
+    out = None
+    for block, mult in zip(blocks, mults):
+        term = (block @ flat).reshape((block.shape[0],) + grid.band_shape)
+        term *= mult
+        out = term if out is None else np.add(out, term, out=out)
+    return out
 
 
 def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
@@ -386,19 +400,9 @@ def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
     exactly d-closed at the discrete level; the gemm table commutes with
     the transform.
     """
-    reads, writes = _iddbar_support(grid.complex_dims)
-    blocks = _iddbar_blocks(grid.complex_dims)
-    dz_syms, dzb_syms = _symbols(grid, band=True)
-    flat = ohat.reshape(len(reads), -1)
-    out = None
-    for l, m in np.ndindex(grid.complex_dims, grid.complex_dims):
-        term = (blocks[l, m] @ flat).reshape((len(writes),) + grid.band_shape)
-        term *= dz_syms[l] * dzb_syms[m]
-        if out is None:
-            out = term
-        else:
-            out += term
-    return out
+    c = grid.complex_dims
+    dz, dzb = _symbols(grid, band=True)
+    return _band_apply(grid, _iddbar_blocks(c), [dz[l] * dzb[m] for l, m in np.ndindex(c, c)], ohat)
 
 
 def _metric_inverse(omega: np.ndarray) -> np.ndarray:
@@ -555,94 +559,64 @@ def _band_tr_r_wedge_r(grid: PeriodicGrid, ohat: np.ndarray, base: np.ndarray, g
 
 
 @lru_cache(maxsize=None)
-def _d22_tables():
-    """Assembly data for d of a (2,2)-form built from the oracle.
+def _d22_blocks(c: int):
+    """(rows, blocks) of d on Psi22 fields at c active dims, read from the oracle.
 
-    Returns (conv, hol, ah):
-      conv[a, b]   integer coefficient of Q[a, b] on its canonical monomial;
-      hol[a][b]    (component index, sign) for dz^{a+1} ^ (monomial of a, b);
-      ah[a][b]     (component index, sign) for dzbar^{b+1} ^ (monomial of a, b).
-    Components are indexed by the 6 possible 5-form keys.
+    blocks[2 j] and blocks[2 j + 1] are the tables of del_j and delbar_j
+    (j < c), which wedge dz^j, resp. dzbar^j, into each exterior.form22_basis
+    monomial (exterior._merge): entry [i, r] is the wedge's sign times the
+    basis coefficient of rows[r] (a flat index 3 a + b) on the i-th 5-form key,
+    in the order the wedges first reach the keys.  rows are the entries some
+    wedge reaches: row and column 0 at c = 1, all but [2, 2] at c = 2.
     """
-    basis = exterior.form22_basis()
-    conv = np.zeros((3, 3), dtype=float)
-    keys5: dict[tuple, int] = {}
-    hol = [[None] * 3 for _ in range(3)]
-    ah = [[None] * 3 for _ in range(3)]
-
-    def comp_index(key):
-        return keys5.setdefault(key, len(keys5))
-
-    for (a, b), (key, coeff) in basis.items():
-        conv[a, b] = coeff
-        k5, s = exterior._merge((a,), key)
-        hol[a][b] = (comp_index(k5), s)
-        k5, s = exterior._merge((b + 3,), key)
-        ah[a][b] = (comp_index(k5), s)
-    return conv, hol, ah
+    gens = [g for j in range(c) for g in (j, j + 3)]
+    hits = [(i, 3 * a + b, m, coeff) for (a, b), (key, coeff) in exterior.form22_basis().items()
+            for i, g in enumerate(gens) if (m := exterior._merge((g,), key)) is not None]
+    keys = list(dict.fromkeys(m[0] for _, _, m, _ in hits))
+    rows = tuple(sorted({r for _, r, _, _ in hits}))
+    blocks = np.zeros((len(gens), len(keys), len(rows)))
+    for i, r, (key, sign), coeff in hits:
+        blocks[i, keys.index(key), rows.index(r)] = sign * coeff
+    blocks.flags.writeable = False
+    return rows, blocks
 
 
-@lru_cache(maxsize=None)
-def _d22_rows(c: int) -> tuple[int, ...]:
-    """The components 3 a + b of a Psi22 field that d reads at c active dims: del_j
-    hits row j (the omitted-dz^j entries), delbar_j column j, for j < c."""
-    return tuple(sorted({3 * j + k for j in range(c) for k in range(3)}
-                        | {3 * k + j for j in range(c) for k in range(3)}))
-
-
-def _d22_band(grid: PeriodicGrid, psi: np.ndarray, rows) -> np.ndarray:
-    """Complex band coefficients of the listed rows of a component-first Psi22 field,
-    (9,) + grid.shape, each shifted by its value at grid index 0 so that d of a
-    constant is exactly zero: (len(rows),) + grid.band_shape."""
-    psi = psi.reshape((9,) + grid.shape)[_row_index(rows)]
-    base = psi[(slice(None),) + (slice(1),) * (2 * grid.complex_dims)]
-    return band_forward(grid, np.subtract(psi, base, dtype=complex))
-
-
-def _d22_norm(grid: PeriodicGrid, phat) -> float:
-    """L2 norm of d(Psi) from the band coefficients phat[r] of each row r in _d22_rows.
-
-    del_j and delbar_j are band multipliers, the coefficients of the 5-form
-    d(Psi) are assembled on the band with oracle-pinned signs, and their
-    norm is taken by Parseval.
-    """
-    conv, hol, ah = _d22_tables()
-    dz_syms, dzb_syms = _symbols(grid, band=True)
-    comps = np.zeros((6,) + grid.band_shape, dtype=complex)
-    for j in range(grid.complex_dims):
-        for b in range(3):
-            idx, s = hol[j][b]
-            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[3 * j + b]
-        for a in range(3):
-            idx, s = ah[a][j]
-            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[3 * a + j]
-    return np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
+def _d22(grid: PeriodicGrid, psi_field: np.ndarray, rows) -> np.ndarray:
+    """Band coefficients of the 5-form d of the listed rows of a Psi22 field (the
+    others taken as zero), (6,) + grid.band_shape.  Each row is shifted by its
+    value at grid index 0, so that d of a constant is exactly zero, and band
+    transformed; d is applied as i_ddbar_11 is (_band_apply)."""
+    c = grid.complex_dims
+    all_rows, blocks = _d22_blocks(c)
+    psi = comp_first(psi_field).reshape((9,) + grid.shape)[_row_index(rows)]
+    base = psi[(slice(None),) + (slice(1),) * (2 * c)]
+    return _band_apply(grid, blocks[:, :, [all_rows.index(r) for r in rows]],
+                       [m for dz_dzb in zip(*_symbols(grid, band=True)) for m in dz_dzb],
+                       band_forward(grid, np.subtract(psi, base, dtype=complex)))
 
 
 def d_residual_22(grid: PeriodicGrid, psi_field: np.ndarray) -> float:
     """Relative L2 size of d(Psi) for a band-limited Psi22 field.
 
-    One complex band transform of the components d reads (_d22_rows: those
-    in a row or a column j < c, 5 of 9 at c = 1, 8 at c = 2), and the
-    5-form d(Psi) assembled on the band (_d22_norm); its L2 norm is
-    normalized by the L2 norm of Psi's own monomial coefficients.  Content
-    above N//3 is not seen.  Zero field returns 0.
+    One complex band transform of the components d reads (_d22_blocks: 5 of
+    9 at c = 1, 8 at c = 2), d applied on the band from the oracle's table
+    (_d22), and the L2 norm of the 5-form by Parseval, normalized by the L2
+    norm of Psi's own monomial coefficients.  Content above N//3 is not
+    seen.  Zero field returns 0.
     """
-    return _d22_residual(grid, psi_field, {})
+    rows = _d22_blocks(grid.complex_dims)[0]
+    return _d22_residual(grid, psi_field, _d22_l2(grid, _d22(grid, psi_field, rows)))
 
 
-def _d22_residual(grid: PeriodicGrid, psi_field: np.ndarray, known: dict) -> float:
-    """d_residual_22, given the _d22_band coefficients of some rows (known, row ->
-    coefficients) that the caller knows to be unchanged: only the other rows
-    that d reads are transformed."""
+def _d22_l2(grid: PeriodicGrid, dhat: np.ndarray) -> float:
+    """L2 norm of the 5-form with band coefficients dhat, by Parseval."""
+    return np.sqrt(np.sum(np.abs(dhat) ** 2)) / math.prod(grid.shape)
+
+
+def _d22_residual(grid: PeriodicGrid, psi_field: np.ndarray, num: float) -> float:
+    """d_residual_22 from num, the L2 norm of d(Psi) (_d22_l2)."""
     den = 2.0 * l2_norm(grid, psi_field)
-    if den == 0.0:
-        return 0.0
-    rows = [r for r in _d22_rows(grid.complex_dims) if r not in known]
-    phat = dict(known)
-    if rows:
-        phat.update(zip(rows, _d22_band(grid, comp_first(psi_field), rows)))
-    return float(_d22_norm(grid, phat) / den)
+    return 0.0 if den == 0.0 else float(num / den)
 
 
 def random_bandlimited_herm3(grid: PeriodicGrid, rng, kmax: int, amplitude: float = 1.0) -> np.ndarray:

@@ -370,6 +370,40 @@ def test_torus_c2_rate_never_holds_the_curvature_tensor():
     assert peak < 36 * 16 * G8C2.points_per_dim**4, peak
 
 
+def test_balanced_fixture_peak_memory():
+    # eta is freed after its band transform and Psi_0 is built in the hermitized
+    # i del delbar buffer: 30.4 slabs at c = 2, N = 8 (48.4 when both were kept)
+    fl.make_balanced_omega0(G8C2, 1.0, seed=3)  # fill the caches
+    tracemalloc.start()
+    try:
+        fl.make_balanced_omega0(G8C2, 1.0, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 16 * G8C2.points_per_dim**4, peak
+
+
+def test_c1_balanced_monitor_assembles_d_once(monkeypatch):
+    # at c = 1 no step moves a row d reads, so d(Psi) is applied once, to Psi_0, and its
+    # norm serves every step (the monitor once assembled d 21 times in 20 steps)
+    g = gr.PeriodicGrid(1, 16)
+    calls = []
+    real = gr._d22
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    for mod in (fl, gr):
+        monkeypatch.setattr(mod, "_d22", counted)
+    prob = fl.TorusProblem(g, 0.0, 1.0, np.zeros(g.shape + (3, 3)),
+                           fl.make_balanced_omega0(g, 1.0, seed=2, amplitude=0.04))
+    hist = fl.torus_run(prob, 20 * 0.002, fl.DtControl(dt_fixed=0.002))
+    assert len(hist.steps) == 20 and hist.halt is None
+    # one d for the closedness check of Phi_0, one for Psi_0, none per step
+    assert [tuple(rows) for rows in calls] == [(0, 1, 2, 3, 6)] * 2
+
+
 def test_streamed_curvature_gates_the_dealiased_metric():
     # omega is positive everywhere, but its two-thirds-band part is not: a spike of 100 in
     # [0, 0] at the origin rings to about 1 - 3 two points away along x1

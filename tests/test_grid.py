@@ -118,9 +118,24 @@ def test_d_residual_zero_field():
     assert gr.d_residual_22(G1, np.zeros(G1.shape + (3, 3))) == 0.0
 
 
+def _d22_hand_tables():
+    """The assembly data d_residual_22 once used: conv[a, b] the basis coefficient of
+    Q[a, b], and hol[a][b], ah[a][b] the (5-form key index, sign) of dz^{a+1}, resp.
+    dzbar^{b+1}, wedged into its monomial, keys indexed in the order first met."""
+    conv = np.zeros((3, 3))
+    keys, hol, ah = {}, [[None] * 3 for _ in range(3)], [[None] * 3 for _ in range(3)]
+    for (a, b), (key, coeff) in ex.form22_basis().items():
+        conv[a, b] = coeff
+        for table, gen in ((hol, a), (ah, b + 3)):
+            k5, s = ex._merge((gen,), key)
+            table[a][b] = (keys.setdefault(k5, len(keys)), s)
+    return conv, hol, ah
+
+
 def _d_residual_nine(grid, psi_field):
-    """d_residual_22 with all nine components band-transformed, as it was."""
-    conv, hol, ah = gr._d22_tables()
+    """d_residual_22 with all nine components band-transformed and d assembled by the
+    hand rule "del_j hits row j, delbar_j column j", as it was."""
+    conv, hol, ah = _d22_hand_tables()
     dz_syms, dzb_syms = gr._symbols(grid, band=True)
     psi = gr.comp_first(np.asarray(psi_field, dtype=complex))
     phat = gr.band_forward(grid, psi - psi[(Ellipsis,) + (slice(1),) * (2 * grid.complex_dims)])
@@ -134,6 +149,29 @@ def _d_residual_nine(grid, psi_field):
             comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[a, j]
     num = np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
     return float(num / (2.0 * gr.l2_norm(grid, psi_field)))
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_d22_rows_come_from_the_oracle(c):
+    # the rows d reads are the table's nonzero columns: row and column 0 at c = 1, all
+    # but [2, 2] at c = 2; each entry is the wedge's sign times the basis coefficient
+    rows, blocks = gr._d22_blocks(c)
+    assert rows == ((0, 1, 2, 3, 6) if c == 1 else (0, 1, 2, 3, 4, 5, 6, 7))
+    assert blocks.shape == (2 * c, 6, len(rows))
+    keys = []
+    for (a, b), (key, coeff) in ex.form22_basis().items():
+        for j in range(c):
+            for i, gen in ((2 * j, j), (2 * j + 1, j + 3)):
+                merged = ex._merge((gen,), key)
+                if merged is None:
+                    assert 3 * a + b not in rows or not np.any(blocks[i, :, rows.index(3 * a + b)])
+                    continue
+                if merged[0] not in keys:
+                    keys.append(merged[0])
+                col = blocks[i, :, rows.index(3 * a + b)]
+                assert col[keys.index(merged[0])] == merged[1] * coeff
+                assert np.count_nonzero(col) == 1
+    assert len(keys) == 6
 
 
 @pytest.mark.parametrize("grid", [G1, G2], ids=["c1_n64", "c2_n16"])
