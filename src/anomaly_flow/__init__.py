@@ -1,13 +1,12 @@
 """Flows of Hermitian (2,2)-forms on complex 3-folds.
 
-Modules: exact exterior algebra (:mod:`~anomaly_flow.exterior`), pointwise
+Modules: the exterior-algebra oracle (:mod:`~anomaly_flow.exterior`), pointwise
 Hermitian form algebra (:mod:`~anomaly_flow.pointwise`), symbol and
 ellipticity analysis (:mod:`~anomaly_flow.linearize`), spectral torus
 calculus (:mod:`~anomaly_flow.grid`), time integration
 (:mod:`~anomaly_flow.flow`), and the ``anomaly`` CLI (:mod:`~anomaly_flow.cli`).
 """
 
-from .exact import GaussianRational, gr
 from .exterior import (
     MultiVector,
     dz,
@@ -22,8 +21,6 @@ from .grid import PeriodicGrid
 from .flow import DtControl, FuYauProblem, TorusProblem
 
 __all__ = [
-    "GaussianRational",
-    "gr",
     "MultiVector",
     "dz",
     "dzbar",

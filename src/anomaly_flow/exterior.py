@@ -1,4 +1,4 @@
-"""Exact exterior algebra over C^3.
+"""Exterior algebra over C^3.
 
 Ground truth for every wedge, star and component-convention identity used in
 the rest of the package.  Elements are stored as sparse dictionaries mapping
@@ -12,9 +12,12 @@ this single ordering by one rule, ``_sort_sign``: the sign of the
 permutation that sorts a tuple of generators, zero if one repeats.  The
 wedge of two monomials (``_merge``), conjugation and the (2,2) convention
 table all take their signs from it, and every sum of terms is added up by
-one loop, ``_collect``.  Coefficients may be floats/complex (numeric mode) or
-:class:`~anomaly_flow.exact.GaussianRational` (exact mode); the algebra is
-identical in both.
+one loop, ``_collect``.  Coefficients are plain (complex) numbers, with no
+exact mode: every sign is +-1 and every (2,2) table entry +-2, so on dyadic
+rational inputs (small integers over small powers of 2) each product and sum
+the oracle forms, and to_form22's division, is exact in float64.  On such
+inputs an identity like ``to_form22(w ^ w) = adj(w)`` is checked with ``==``
+(verify.suite_wedge_square_exact).
 
 Component conventions
 ---------------------
@@ -29,7 +32,7 @@ A (2,2)-form is the Hermitian matrix ``Q[a, b] = Psi^{a bbar}`` entering as
 
 with ``sgn(a,b) = -1`` if a > b and +1 otherwise.  With this normalization
 ``to_form22(w ^ w)`` is the adjugate matrix of ``w`` and the top coefficient
-of ``w^3`` is ``3! det w`` (both pinned exactly in the tests).
+of ``w^3`` is ``3! det w`` (both pinned with zero residual in the tests).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import GaussianRational, to_exact
 from .errors import FormDegreeError
 
 N = 3
@@ -196,28 +198,10 @@ def _key_bidegree(key) -> tuple[int, int]:
     return p, len(key) - p
 
 
-def _entries_exact(mat) -> bool:
-    for row in mat:
-        for x in row:
-            if isinstance(x, GaussianRational):
-                return True
-            if isinstance(x, (complex, float, np.complexfloating, np.floating)):
-                return False
-    # all ints/Fractions: treat as exact
-    return True
-
-
 def from_form11(phi) -> MultiVector:
     """(1,1)-form i * phi_{kbar j} dz^j ^ dzbar^k from the 3x3 matrix phi[k, j]."""
-    rows = [[phi[k][j] for j in range(N)] for k in range(N)]
-    exact = _entries_exact(rows)
-    i_unit = GaussianRational(0, 1) if exact else 1j
     # key (j, k + 3) is dz^{j+1} ^ dzbar^{k+1}, already sorted
-    return _collect(
-        ((j, k + 3), i_unit * (to_exact(rows[k][j]) if exact else rows[k][j]))
-        for k in range(N)
-        for j in range(N)
-    )
+    return _collect(((j, k + 3), 1j * phi[k][j]) for k in range(N) for j in range(N))
 
 
 def _form22_basis():
@@ -252,27 +236,20 @@ def from_form22(psi) -> MultiVector:
     return _collect((key, coeff * psi[a][b]) for (a, b), (key, coeff) in _FORM22_BASIS.items())
 
 
-def _is_exact(m: MultiVector) -> bool:
-    return any(isinstance(c, GaussianRational) for c in m._terms.values())
-
-
 def to_form22(m: MultiVector):
     """Component matrix of a pure (2,2)-form; inverse of :func:`from_form22`.
 
     Raises :class:`FormDegreeError` if any term lies outside bidegree (2,2).
-    Returns a complex ndarray in numeric mode, an object ndarray of
-    GaussianRationals in exact mode.
+    Returns a complex ndarray.
     """
     for key in m._terms:
         if _key_bidegree(key) != (2, 2):
             raise FormDegreeError(
                 f"term {key} has bidegree {_key_bidegree(key)}, expected (2, 2)"
             )
-    exact = _is_exact(m)
-    out = np.empty((N, N), dtype=object if exact else complex)
+    out = np.empty((N, N), dtype=complex)
     for (a, b), (key, coeff) in _FORM22_BASIS.items():
-        c = m._terms.get(key, 0)
-        out[a, b] = to_exact(c) / coeff if exact else complex(c) / coeff
+        out[a, b] = complex(m._terms.get(key, 0)) / coeff
     return out
 
 
@@ -302,9 +279,5 @@ def top_coefficient(m: MultiVector):
 
     Zero if m has no (3,3) component.
     """
-    exact = _is_exact(m)
-    if _TOP_KEY not in m._terms:
-        return GaussianRational(0) if exact else 0j
     # canonical coefficient of the top form is +i; divide it out
-    c = m._terms[_TOP_KEY]
-    return to_exact(c) * GaussianRational(0, -1) if exact else complex(c) * (-1j)
+    return complex(m._terms.get(_TOP_KEY, 0)) * (-1j)

@@ -41,11 +41,10 @@ No flow, fixture or monitor takes a full-size transform.
 The monitors read only what can change.  rhs_norm is a Parseval sum over
 the band coefficients of the step's first-stage rate (grid.band_l2_norm).
 The torus balanced_residual is grid.d_residual_22 of the new state, bit for
-bit, but d is linear: TorusProblem keeps d of the rows d reads that no step
-moves (all but the support and its transpose, which hermitize mixes in),
-taken once from Psi_0, and the monitor transforms and applies d to the
-others only.  At c = 1 no step moves a row d reads, so the norm of d is
-taken once per run.
+bit.  A step moves only the support and its transpose (which hermitize
+mixes in); when d reads none of those rows, as at c = 1 unless Phi_0
+reaches row or column 0, d(Psi) never changes, and TorusProblem takes its
+norm once, from Psi_0.
 
 The torus gate applies the positivity rule (pointwise.assert_positive) to
 Psi, whose eigenvalues mu1 <= mu2 <= mu3 give the rest: omega's are mu2 mu3,
@@ -403,25 +402,21 @@ class TorusProblem:
             support.update(np.flatnonzero(np.any(phi0_band != 0, axis=1)).tolist())
         self.support = tuple(sorted(support))
         self.phi0_band = phi0_band[_row_index(self.support)].reshape((-1,) + g.band_shape)
-        # a step moves the support and its transpose, which hermitize mixes in; d of the
-        # other rows d reads is taken once, from Psi_0, and at c = 1 that is all of d
+        # a step moves the support and its transpose, which hermitize mixes in; when d
+        # reads none of those rows (c = 1, unless Phi_0 reaches row or column 0), the
+        # norm of d(Psi_0) serves every step
         moving = set(self.support) | {3 * (e % 3) + e // 3 for e in self.support}
         rows = _d22_blocks(g.complex_dims)[0]
-        self._d22_moving = tuple(r for r in rows if r in moving)
-        fixed = [r for r in rows if r not in moving]
-        self._d22_fixed = _d22(g, self.psi0, fixed) if fixed else 0.0
-        self._d22_num = None if self._d22_moving else _d22_l2(g, self._d22_fixed)
+        self._d22_num = _d22_l2(g, _d22(g, self.psi0)) if moving.isdisjoint(rows) else None
         res = self._balanced_residual(self.psi0)
         if res >= MONITOR_TOL_CLOSED:
             raise ValueError(f"initial state is not balanced (residual {res:.3e})")
 
     def _balanced_residual(self, psi: np.ndarray) -> float:
-        """d_residual_22 of a state of this flow, bit for bit: d is linear, so it is
-        applied to the moving rows alone and d of the others added."""
-        num = self._d22_num
-        if num is None:
-            num = _d22_l2(self.grid, _d22(self.grid, psi, self._d22_moving) + self._d22_fixed)
-        return _d22_residual(self.grid, psi, num)
+        """d_residual_22 of a state of this flow, bit for bit."""
+        if self._d22_num is None:
+            return d_residual_22(self.grid, psi)
+        return _d22_residual(self.grid, psi, self._d22_num)
 
 
 def _band_coefficients(g: PeriodicGrid, field: np.ndarray, name: str) -> np.ndarray:

@@ -28,9 +28,9 @@ those components.  i del delbar reads and writes the 2x2 block a, b in
 {1, 2} at c = 1 and all nine at c = 2 (_iddbar_support), and
 band_inverse(rows=) puts a stack back into a whole 3x3 field; d reads row
 and column 0 at c = 1 and all but [2, 2] at c = 2 (_d22_blocks), and
-d_residual_22 transforms only those.  d is linear, so _d22 applies it to
-any subset of rows, and the norm of the sum is _d22_l2.  band_l2_norm is
-l2_norm by Parseval on band coefficients.
+d_residual_22 transforms only those: _d22 gives the band coefficients of
+d(Psi), and _d22_l2 their norm.  band_l2_norm is l2_norm by Parseval on
+band coefficients.
 
 The curvature has one assembly and one trace loop.  _connection_band builds
 the band coefficients of omega^{-1} del_j omega one column at a time from
@@ -581,17 +581,16 @@ def _d22_blocks(c: int):
     return rows, blocks
 
 
-def _d22(grid: PeriodicGrid, psi_field: np.ndarray, rows) -> np.ndarray:
-    """Band coefficients of the 5-form d of the listed rows of a Psi22 field (the
-    others taken as zero), (6,) + grid.band_shape.  Each row is shifted by its
-    value at grid index 0, so that d of a constant is exactly zero, and band
-    transformed; d is applied as i_ddbar_11 is (_band_apply)."""
+def _d22(grid: PeriodicGrid, psi_field: np.ndarray) -> np.ndarray:
+    """Band coefficients of the 5-form d of a Psi22 field, (6,) + grid.band_shape.
+    Each row d reads (_d22_blocks) is shifted by its value at grid index 0, so
+    that d of a constant is exactly zero, and band transformed; d is applied as
+    i_ddbar_11 is (_band_apply)."""
     c = grid.complex_dims
-    all_rows, blocks = _d22_blocks(c)
+    rows, blocks = _d22_blocks(c)
     psi = comp_first(psi_field).reshape((9,) + grid.shape)[_row_index(rows)]
     base = psi[(slice(None),) + (slice(1),) * (2 * c)]
-    return _band_apply(grid, blocks[:, :, [all_rows.index(r) for r in rows]],
-                       [m for dz_dzb in zip(*_symbols(grid, band=True)) for m in dz_dzb],
+    return _band_apply(grid, blocks, [m for dz_dzb in zip(*_symbols(grid, band=True)) for m in dz_dzb],
                        band_forward(grid, np.subtract(psi, base, dtype=complex)))
 
 
@@ -604,8 +603,7 @@ def d_residual_22(grid: PeriodicGrid, psi_field: np.ndarray) -> float:
     norm of Psi's own monomial coefficients.  Content above N//3 is not
     seen.  Zero field returns 0.
     """
-    rows = _d22_blocks(grid.complex_dims)[0]
-    return _d22_residual(grid, psi_field, _d22_l2(grid, _d22(grid, psi_field, rows)))
+    return _d22_residual(grid, psi_field, _d22_l2(grid, _d22(grid, psi_field)))
 
 
 def _d22_l2(grid: PeriodicGrid, dhat: np.ndarray) -> float:

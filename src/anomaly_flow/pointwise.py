@@ -38,7 +38,7 @@ _CLOSED_FORM_MIN = 32  # 3x3 matrices: both eigenvalue kernels take about 40 us 
 
 
 def det3(m):
-    """Determinant of (..., 3, 3), branch-free; works on object arrays too."""
+    """Determinant of (..., 3, 3), branch-free; exact in float64 on small dyadic entries."""
     return (
         m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
         - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
@@ -80,7 +80,9 @@ def adjugate_entries(v, entries):
 def adjugate3(m):
     """Adjugate of (..., 3, 3): adj(m) = det(m) * inv(m), in closed form.
 
-    Works on object arrays too; the result has m's memory layout.
+    Each entry is one difference of two products, so exact in float64 on small
+    dyadic entries (verify.suite_wedge_square_exact); the result has m's
+    memory layout.
     """
     v = [m[..., k // 3, k % 3] for k in range(9)]
     out = np.empty_like(m)

@@ -12,17 +12,20 @@ same sample whether the suite evaluates it alone or on the stack.  Every
 so each suite calls them once on the whole stack (the coupled-spectrum suite
 once per bundle rank); only the oracle ``MultiVector`` wedges run trial by
 trial.
+
+The exact suite (acceptance criterion 1) has no number type of its own: it
+draws dyadic matrices (_dyadic_hermitian), on which the oracle and the
+pointwise adjugate and determinant are exact in float64, and compares them
+with ==.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exterior, linearize, pointwise, sampling
-from .exact import GaussianRational
 
 
 @dataclass
@@ -106,24 +109,24 @@ def _i_xi_xibar(xi):
     return i_xi.wedge(exterior.MultiVector({(j + 3,): np.conj(xi[j]) for j in range(3)}))
 
 
-def _rand_gaussian_rational_hermitian(rng):
-    def frac():
-        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-
-    m = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        m[i][i] = GaussianRational(frac())
-        for j in range(i + 1, 3):
-            m[i][j] = GaussianRational(frac(), frac())
-            m[j][i] = m[i][j].conjugate()
-    return m
+def _dyadic_hermitian(rng):
+    """A Hermitian 3x3 matrix whose entries' real and imaginary parts are p / 2^e, with
+    integers |p| <= 9 and 0 <= e <= 3."""
+    re, im = rng.integers(-9, 10, (2, 3, 3)) / 2.0 ** rng.integers(0, 4, (2, 3, 3))
+    upper = np.triu(re + 1j * im, 1)
+    return upper + upper.conj().T + np.diag(np.diag(re))
 
 
 def suite_wedge_square_exact(seed, trials=50):
-    """to_form22(w ^ w) equals pointwise.adjugate3(w), in exact arithmetic."""
-    (ms,) = _draw(seed, 1, trials, lambda rng: (_rand_gaussian_rational_hermitian(rng),))
-    adj = pointwise.adjugate3(ms)  # object arrays of GaussianRationals
-    failures = sum(bool(np.any(_square(m) != a)) for m, a in zip(ms, adj))
+    """to_form22(w ^ w) == pointwise.adjugate3(w) and top(w^3) == 6 pointwise.det3(w).
+
+    On dyadic w every product and sum either side forms is exact in float64,
+    so == is an exact comparison; both identities are homogeneous, so the
+    verdict does not depend on the scale of w.
+    """
+    (ws,) = _draw(seed, 1, trials, lambda rng: (_dyadic_hermitian(rng),))
+    adj, det6 = pointwise.adjugate3(ws), 6.0 * pointwise.det3(ws)
+    failures = sum(bool(np.any(_square(w) != a) or _cube(w) != d) for w, a, d in zip(ws, adj, det6))
     return _result("wedge-square adjugate (exact)", trials, failures, 0.0)
 
 

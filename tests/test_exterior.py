@@ -1,7 +1,6 @@
-"""Exterior algebra oracle: sign rules, conventions, exact-mode pinning."""
+"""Exterior algebra oracle: sign rules, conventions, exact pinning on dyadic inputs."""
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomaly_flow import exterior as ex
-from anomaly_flow.exact import GaussianRational, gr
+from anomaly_flow import verify
 from anomaly_flow.errors import FormDegreeError
 from anomaly_flow.pointwise import adjugate3, det3
 
@@ -182,11 +181,12 @@ def test_reality_iff_hermitian():
 
 
 def test_exact_mode_wedge_square_is_exact_adjugate():
-    m = [
-        [gr(2), gr(Fraction(1, 2), Fraction(1, 3)), gr(0)],
-        [gr(Fraction(1, 2), Fraction(-1, 3)), gr(3), gr(Fraction(2, 7), Fraction(1, 5))],
-        [gr(0), gr(Fraction(2, 7), Fraction(-1, 5)), gr(1)],
-    ]
+    # dyadic entries: every product and sum below is exact in float64, so == is exact
+    m = np.array([
+        [2, 0.5 + 0.375j, 0],
+        [0.5 - 0.375j, 3, 0.25 + 1.125j],
+        [0, 0.25 - 1.125j, 1],
+    ])
     mv = ex.from_form11(m)
     q = ex.to_form22(mv.wedge(mv))
     # adjugate entries computed independently by cofactor expansion
@@ -205,11 +205,11 @@ def test_exact_mode_wedge_square_is_exact_adjugate():
 
 
 def test_exact_mode_top_is_six_det():
-    m = [
-        [gr(1), gr(0, Fraction(1, 2)), gr(0)],
-        [gr(0, Fraction(-1, 2)), gr(2), gr(Fraction(1, 3))],
-        [gr(0), gr(Fraction(1, 3)), gr(3)],
-    ]
+    m = np.array([
+        [1, 0.5j, 0],
+        [-0.5j, 2, 0.75],
+        [0, 0.75, 3],
+    ])
     mv = ex.from_form11(m)
     top = ex.top_coefficient(ex.wedge(mv, mv, mv))
     det = (
@@ -218,13 +218,27 @@ def test_exact_mode_top_is_six_det():
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
     assert top == 6 * det
-    assert isinstance(top, GaussianRational)
 
 
-def test_gaussian_rational_field_ops():
-    a = gr(Fraction(3, 4), Fraction(-2, 5))
-    b = gr(Fraction(1, 3), Fraction(7, 2))
-    assert (a * b) / b == a
-    assert a + b - b == a
-    assert a * a.conjugate() == gr(a.re * a.re + a.im * a.im)
-    assert complex(gr(1, 2)) == 1 + 2j
+def _sort_sign_without_parity(gens):
+    return None if len(set(gens)) != len(gens) else (tuple(sorted(gens)), 1)
+
+
+@pytest.mark.parametrize("fault", ["q01_sign", "q22_tripled", "no_sort_parity"])
+def test_criterion_1_fails_every_trial_of_a_planted_fault(fault, monkeypatch):
+    # at the seed criterion 1 runs at (tests/test_acceptance.py), each planted convention
+    # fault breaks == on all 50 dyadic draws
+    if fault == "no_sort_parity":
+        monkeypatch.setattr(ex, "_sort_sign", _sort_sign_without_parity)
+    else:
+        ab, factor = ((0, 1), -1) if fault == "q01_sign" else ((2, 2), 3)
+        key, coeff = ex._FORM22_BASIS[ab]
+        monkeypatch.setitem(ex._FORM22_BASIS, ab, (key, factor * coeff))
+    ex._merge.cache_clear()
+    try:
+        res = verify.suite_wedge_square_exact(20260808, trials=50)
+    finally:
+        monkeypatch.undo()
+        ex._merge.cache_clear()  # no planted sign outlives the test
+    assert not res.passed and res.max_residual == 50
+    assert verify.suite_wedge_square_exact(20260808, trials=50).max_residual == 0.0

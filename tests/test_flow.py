@@ -391,7 +391,7 @@ def test_c1_balanced_monitor_assembles_d_once(monkeypatch):
     real = gr._d22
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(1)
         return real(*args)
 
     for mod in (fl, gr):
@@ -401,7 +401,7 @@ def test_c1_balanced_monitor_assembles_d_once(monkeypatch):
     hist = fl.torus_run(prob, 20 * 0.002, fl.DtControl(dt_fixed=0.002))
     assert len(hist.steps) == 20 and hist.halt is None
     # one d for the closedness check of Phi_0, one for Psi_0, none per step
-    assert [tuple(rows) for rows in calls] == [(0, 1, 2, 3, 6)] * 2
+    assert len(calls) == 2
 
 
 def test_streamed_curvature_gates_the_dealiased_metric():
@@ -611,22 +611,24 @@ def test_torus_stationarity_report_decreases_on_converging_run():
     assert rhs_norms[-1] < rhs_norms[0]
 
 
-@pytest.mark.parametrize("c", [1, 2])
-def test_torus_linearization_is_minus_the_symbol(c):
-    # at a constant metric with a' = 0 the flow's linear part on a band mode
-    # e^{i k.x} is -sigma(xi), xi_j = (k_{x_j} - i k_{y_j})/2 (the README's k -> xi map).
-    # omega = adj(Psi)/|Omega|^2 is quadratic in Psi and the rest of the rate is
-    # linear, so the central difference is exact to roundoff.
+@pytest.mark.parametrize("c, alpha_p, modes", [(1, 0.0, 6), (2, 0.0, 6), (2, 0.1, 2)],
+                         ids=["1", "2", "2-curvature"])
+def test_torus_linearization_is_minus_the_symbol(c, alpha_p, modes):
+    # at a constant metric the flow's linear part on a band mode e^{i k.x} is -sigma(xi),
+    # xi_j = (k_{x_j} - i k_{y_j})/2 (the README's k -> xi map).  omega = adj(Psi)/|Omega|^2
+    # is quadratic in Psi and i del delbar omega linear, so at a' = 0 the central
+    # difference is exact to roundoff.  A constant metric has R = 0, so a' Tr(R ^ R)
+    # must add nothing at first order (the c = 2 rate with curvature is slow: 2 modes)
     g = gr.PeriodicGrid(c, 16)
     rng = np.random.default_rng(20 + c)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     omega = a @ a.conj().T + np.eye(3)
     abs_omega, eps = 1.3, 1e-2
-    prob = fl.TorusProblem(g, 0.0, abs_omega, np.zeros(g.shape + (3, 3)),
+    prob = fl.TorusProblem(g, alpha_p, abs_omega, np.zeros(g.shape + (3, 3)),
                            np.broadcast_to(omega, g.shape + (3, 3)))
     psi = prob.psi0
     xs = g.coords()
-    for _ in range(6):
+    for _ in range(modes):
         k = np.zeros(2 * c, dtype=int)
         while not k.any():
             k = rng.integers(-g.dealias_kmax, g.dealias_kmax + 1, size=2 * c)
@@ -635,7 +637,7 @@ def test_torus_linearization_is_minus_the_symbol(c):
         wave = 2 * np.cos(sum(ki * x for ki, x in zip(k, xs)))[..., None, None]
         for b in lin.d_symbol_kernel(xi):
             got = (fl.torus_rhs(psi + eps * wave * b, prob) - fl.torus_rhs(psi - eps * wave * b, prob)) / (2 * eps)
-            ref = -wave * lin.delta_tilde_symbol(xi, omega, abs_omega, np.zeros((3, 3, 3, 3)), 0.0, b)
+            ref = -wave * lin.delta_tilde_symbol(xi, omega, abs_omega, np.zeros((3, 3, 3, 3)), alpha_p, b)
             assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
@@ -724,3 +726,41 @@ def test_stationarity_zero_iff_rhs_zero():
     rng = np.random.default_rng(2)
     psi = prob.psi0 + _closed(G32T, gr.random_bandlimited_herm3(G32T, rng, 2, 0.02))
     assert _stationarity(psi, prob) > 1e-7
+
+
+def _rk4_error_ratios(run, t_final, divisions, ref_division):
+    """Each max-norm error at dt = t_final / n (n in divisions), against the run at
+    t_final / ref_division, over the error at the next n.  run(dt, steps) gives the
+    final state and checks that it took that many steps."""
+    ref = run(t_final / ref_division, ref_division)
+    errs = [np.abs(run(t_final / n, n) - ref).max() for n in divisions]
+    return [e1 / e2 for e1, e2 in zip(errs, errs[1:])]
+
+
+def test_torus_rk4_order():
+    # RK4 is fourth order: every halving of dt cuts the error 16x (measured 16.5, 16.2, 16.2)
+    prob = fl.TorusProblem(G32T, 0.0, 1.0, np.zeros(G32T.shape + (3, 3)),
+                           fl.make_balanced_omega0(G32T, 1.0, seed=5, amplitude=0.05))
+
+    def run(dt, steps):
+        hist = fl.torus_run(prob, 0.5, fl.DtControl(dt_fixed=dt))
+        assert hist.halt is None and len(hist.steps) == steps
+        return hist.final_payload
+
+    ratios = _rk4_error_ratios(run, 0.5, (16, 32, 64, 128), 512)
+    assert all(14 <= r <= 20 for r in ratios), ratios
+
+
+def test_fu_yau_rk4_order():
+    # as for the torus flow (measured 16.9, 16.4, 16.3)
+    x1, y1, x2, y2 = G8C2.coords()
+    u0 = (0.05 * np.cos(x1 + y2) + 0.03 * np.sin(y1 - x2)) * np.ones(G8C2.shape)
+    prob = fl.FuYauProblem(G8C2, 0.05, zeros(G8C2), 0.5 * np.ones(G8C2.shape))
+
+    def run(dt, steps):
+        hist = fl.fu_yau_run(prob, 0.4, fl.DtControl(dt_fixed=dt), u0=u0)
+        assert hist.halt is None and len(hist.steps) == steps
+        return hist.final_payload
+
+    ratios = _rk4_error_ratios(run, 0.4, (8, 16, 32, 64), 256)
+    assert all(14 <= r <= 20 for r in ratios), ratios

@@ -132,9 +132,12 @@ def _d22_hand_tables():
     return conv, hol, ah
 
 
-def _d_residual_nine(grid, psi_field):
-    """d_residual_22 with all nine components band-transformed and d assembled by the
-    hand rule "del_j hits row j, delbar_j column j", as it was."""
+def _d_nine(grid, psi_field):
+    """(band coefficients of d(Psi), d_residual_22) with all nine components
+    band-transformed and d assembled by the hand rule "del_j hits row j, delbar_j
+    column j", as it was.  Each term is coefficient times band coefficient times
+    multiplier, in the program's order: numpy's complex multiply need not commute
+    bit for bit."""
     conv, hol, ah = _d22_hand_tables()
     dz_syms, dzb_syms = gr._symbols(grid, band=True)
     psi = gr.comp_first(np.asarray(psi_field, dtype=complex))
@@ -143,12 +146,12 @@ def _d_residual_nine(grid, psi_field):
     for j in range(grid.complex_dims):
         for b in range(3):
             idx, s = hol[j][b]
-            comps[idx] += (conv[j, b] * s) * dz_syms[j] * phat[j, b]
+            comps[idx] += ((conv[j, b] * s) * phat[j, b]) * dz_syms[j]
         for a in range(3):
             idx, s = ah[a][j]
-            comps[idx] += (conv[a, j] * s) * dzb_syms[j] * phat[a, j]
+            comps[idx] += ((conv[a, j] * s) * phat[a, j]) * dzb_syms[j]
     num = np.sqrt(np.sum(np.abs(comps) ** 2)) / math.prod(grid.shape)
-    return float(num / (2.0 * gr.l2_norm(grid, psi_field)))
+    return comps, float(num / (2.0 * gr.l2_norm(grid, psi_field)))
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -188,11 +191,12 @@ def test_d_residual_transforms_only_what_d_reads(grid, monkeypatch):
     for _ in range(3):
         psi = gr.random_bandlimited_herm3(grid, rng, grid.dealias_kmax, 0.3)
         psi = psi + 1j * gr.random_bandlimited_herm3(grid, rng, 2, 0.2) + const_herm3(grid, np.eye(3))
-        ref = _d_residual_nine(grid, psi)
+        ref_d, ref = _d_nine(grid, psi)
         monkeypatch.setattr(gr, "band_forward", counted)
         got = gr.d_residual_22(grid, psi)
         monkeypatch.setattr(gr, "band_forward", real)
         assert ref > 1e-3 and got == ref  # bit for bit
+        assert np.array_equal(gr._d22(grid, psi), ref_d)
     assert slabs == [(5 if grid.complex_dims == 1 else 8,)] * 3
 
 

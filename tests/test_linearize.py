@@ -16,7 +16,6 @@ from anomaly_flow.errors import (
     PositivityError,
     ProjectionResidualError,
 )
-from anomaly_flow.exact import gr
 
 I3 = np.eye(3, dtype=complex)
 RNG = np.random.default_rng(7)
@@ -86,14 +85,11 @@ def test_wedge_xi_extract_examples():
 
 def test_wedge_xi_extract_exact_pin():
     # i dz1 ^ dzbar1 ^ (i dz2 ^ dzbar2) must give a single exact entry 1/2 at (3,3)
-    m = ex.wedge(
-        gr(0, 1) * ex.dz(1).wedge(ex.dzbar(1)), gr(0, 1) * ex.dz(2).wedge(ex.dzbar(2))
-    )
+    m = ex.wedge(1j * ex.dz(1).wedge(ex.dzbar(1)), 1j * ex.dz(2).wedge(ex.dzbar(2)))
     q = ex.to_form22(m)
     for a in range(3):
         for b in range(3):
-            expect = gr(1, 0) / 2 if (a, b) == (2, 2) else gr(0)
-            assert q[a, b] == expect
+            assert q[a, b] == (0.5 if (a, b) == (2, 2) else 0)
 
 
 def test_wedge_xi_extract_matches_oracle():
