@@ -152,14 +152,21 @@ def inverse(grid: PeriodicGrid, fhat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(fhat, axes=grid.axes)
 
 
-def along_axis(mat: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a dense (n_out, n_in) matrix along one (nonnegative) axis of f."""
+def along_axis(mat: np.ndarray, f: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Apply a dense (n_out, n_in) matrix along one (nonnegative) axis of f.
+
+    With out, a C-contiguous array of the result's size, the gemm writes
+    into it (np.matmul(out=)); the result is then a view of out.
+    """
     shape = f.shape
+    lead, n_out = math.prod(shape[:axis]), mat.shape[0]
     if axis == f.ndim - 1:
-        out = f.reshape(-1, shape[-1]) @ mat.T
+        dest = None if out is None else np.reshape(out, (lead, n_out), copy=False)
+        res = np.matmul(f.reshape(lead, shape[-1]), mat.T, out=dest)
     else:
-        out = np.matmul(mat, f.reshape(math.prod(shape[:axis]), shape[axis], -1))
-    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
+        dest = None if out is None else np.reshape(out, (lead, n_out, -1), copy=False)
+        res = np.matmul(mat, f.reshape(lead, shape[axis], -1), out=dest)
+    return res.reshape(shape[:axis] + (n_out,) + shape[axis + 1 :])
 
 
 @lru_cache(maxsize=None)
@@ -225,32 +232,41 @@ def _row_index(rows) -> slice | list:
     return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
 
 
-def _band_complex(grid: PeriodicGrid, mat: np.ndarray, f: np.ndarray, rows=None) -> np.ndarray:
+def _band_complex(grid: PeriodicGrid, mat: np.ndarray, f: np.ndarray, rows=None, out=None) -> np.ndarray:
     """mat along each of the 2c trailing (grid) axes of a complex field.
 
     The leading (component) axes are taken a chunk at a time, so that each
     chunk's transforms run in cache; the last axis goes first, as one gemm.
     With rows (flat indices 3 a + b), f stacks those components of a 3x3
     field, and each chunk is written to its rows of the whole field,
-    (3, 3) + grid axes, whose other components are exact zeros.
+    (3, 3) + grid axes, whose other components are exact zeros.  out, a
+    C-contiguous array of the result's shape, receives the result: the
+    zeros first, then each chunk's last gemm, one run of consecutive rows at
+    a time, straight into those rows.
     """
     naxes = 2 * grid.complex_dims
     n_in, n_out = f.shape[-1], mat.shape[0]
     flat = np.ascontiguousarray(f).reshape((-1,) + (n_in,) * naxes)
     lead = f.shape[:-naxes] if rows is None else (3, 3)
     dest = list(range(flat.shape[0]) if rows is None else rows)
-    out = np.empty((math.prod(lead),) + (n_out,) * naxes, dtype=complex)
-    out[[i for i in range(len(out)) if i not in dest]] = 0.0
+    if out is None:
+        out = np.empty(lead + (n_out,) * naxes, dtype=complex)
+    whole = np.reshape(out, (math.prod(lead),) + (n_out,) * naxes, copy=False)
+    whole[[i for i in range(len(whole)) if i not in dest]] = 0.0
     step = max(1, _CHUNK_BYTES // (16 * max(n_in, n_out) ** naxes))
     for i in range(0, flat.shape[0], step):
         y = along_axis(mat, flat[i : i + step], naxes)
-        for ax in range(1, naxes):
+        for ax in range(1, naxes - 1):
             y = along_axis(mat, y, ax)
-        out[_row_index(dest[i : i + step])] = y
-    return out.reshape(lead + out.shape[1:])
+        rows_i, start = dest[i : i + step], 0
+        for k in range(1, len(rows_i) + 1):
+            if k == len(rows_i) or rows_i[k] != rows_i[k - 1] + 1:
+                along_axis(mat, y[start:k], naxes - 1, out=whole[rows_i[start] : rows_i[k - 1] + 1])
+                start = k
+    return out
 
 
-def band_forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
+def band_forward(grid: PeriodicGrid, f: np.ndarray, out=None) -> np.ndarray:
     """Two-thirds-rule spectrum of a field, computing no other modes.
 
     The unnormalized DFT of f on |k_int| <= N//3 along its last 2c axes (the
@@ -258,19 +274,19 @@ def band_forward(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     by dense partial DFTs, one gemm per axis.  A real field's last axis is a
     half spectrum (bins 0..N//3); a complex field keeps the full band on
     every axis, in FFT order (0..m, -m..-1), shape f.shape[:-2c] +
-    grid.band_shape.
+    grid.band_shape.  The last gemm writes into out when it is given.
     """
     fwd, _, rfwd, _ = _band_matrices(grid)
     if np.iscomplexobj(f):
-        return _band_complex(grid, fwd, f)
+        return _band_complex(grid, fwd, f, out=out)
     last = f.ndim - 1
     y = along_axis(rfwd, np.ascontiguousarray(f, dtype=float), last).view(complex)
     for ax in range(f.ndim - 2 * grid.complex_dims, last):
-        y = along_axis(fwd, y, ax)
+        y = along_axis(fwd, y, ax, out=out if ax == last - 1 else None)
     return y
 
 
-def band_inverse(grid: PeriodicGrid, chat: np.ndarray, rows=None) -> np.ndarray:
+def band_inverse(grid: PeriodicGrid, chat: np.ndarray, rows=None, out=None) -> np.ndarray:
     """The field whose spectrum is chat on the band (see band_forward) and zero elsewhere.
 
     A last axis of N//3 + 1 bins is a real field's half spectrum and gives
@@ -278,15 +294,16 @@ def band_inverse(grid: PeriodicGrid, chat: np.ndarray, rows=None) -> np.ndarray:
     a complex band, rows (flat indices 3 a + b) says which components of a
     3x3 field chat stacks: the result is then the whole field,
     component-first (3, 3) + grid.shape, with exact zeros in the others.
+    The last gemm writes into out when it is given.
     """
     _, inv, _, rinv = _band_matrices(grid)
     if chat.shape[-1] != grid.dealias_kmax + 1:
-        return _band_complex(grid, inv, chat, rows)
+        return _band_complex(grid, inv, chat, rows, out)
     last = chat.ndim - 1
     y = chat
     for ax in range(last - 1, chat.ndim - 2 * grid.complex_dims - 1, -1):
         y = along_axis(inv, y, ax)
-    return along_axis(rinv, np.ascontiguousarray(y).view(np.float64), last)
+    return along_axis(rinv, np.ascontiguousarray(y).view(np.float64), last, out=out)
 
 
 def comp_first(f: np.ndarray, ncomp: int = 2) -> np.ndarray:
@@ -376,54 +393,63 @@ def _iddbar_blocks(c: int) -> np.ndarray:
     return blocks
 
 
-def _band_apply(grid: PeriodicGrid, blocks, mults, chat: np.ndarray) -> np.ndarray:
+def _band_apply(grid: PeriodicGrid, blocks, mults, chat: np.ndarray, out=None) -> np.ndarray:
     """sum over i of mults[i] * (blocks[i] @ chat), term by term: gemm, multiply by the
-    band multiplier, accumulate.  chat stacks (blocks.shape[-1],) + grid.band_shape
-    coefficients; the result is (blocks.shape[-2],) + grid.band_shape."""
+    band multiplier, accumulate (in one term buffer).  chat stacks (blocks.shape[-1],) +
+    grid.band_shape coefficients; the result is (blocks.shape[-2],) + grid.band_shape,
+    written into out when it is given."""
     flat = chat.reshape(blocks.shape[-1], -1)
-    out = None
-    for block, mult in zip(blocks, mults):
-        term = (block @ flat).reshape((block.shape[0],) + grid.band_shape)
+    shape = (blocks.shape[-2],) + grid.band_shape
+    if out is not None:
+        out = np.reshape(out, (shape[0], -1), copy=False)
+    res = np.matmul(blocks[0], flat, out=out).reshape(shape)
+    res *= mults[0]
+    term = np.empty(shape, dtype=res.dtype) if len(blocks) > 1 else None
+    for block, mult in zip(blocks[1:], mults[1:]):
+        np.matmul(block, flat, out=term.reshape(shape[0], -1))
         term *= mult
-        out = term if out is None else np.add(out, term, out=out)
-    return out
+        res += term
+    return res
 
 
-def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray) -> np.ndarray:
+def i_ddbar_11(grid: PeriodicGrid, ohat: np.ndarray, out=None) -> np.ndarray:
     """Band coefficients of i del delbar of a Herm3 field, assembled as a Psi22 field.
 
     ohat stacks the component-first band coefficients of the entries the
     operator reads (_iddbar_support), (len(reads),) + grid.band_shape, and
     the result those of the entries it writes, (len(writes),) +
-    grid.band_shape; at c = 2 both are all nine, and reshape((3, 3) +
-    grid.band_shape) gives the 3x3 layout.  Linear in the input, hence
-    exactly d-closed at the discrete level; the gemm table commutes with
-    the transform.
+    grid.band_shape, written into out when it is given; at c = 2 both are
+    all nine, and reshape((3, 3) + grid.band_shape) gives the 3x3 layout.
+    Linear in the input, hence exactly d-closed at the discrete level; the
+    gemm table commutes with the transform.
     """
     c = grid.complex_dims
     dz, dzb = _symbols(grid, band=True)
-    return _band_apply(grid, _iddbar_blocks(c), [dz[l] * dzb[m] for l, m in np.ndindex(c, c)], ohat)
+    return _band_apply(grid, _iddbar_blocks(c), [dz[l] * dzb[m] for l, m in np.ndindex(c, c)], ohat, out)
 
 
-def _metric_inverse(omega: np.ndarray) -> np.ndarray:
-    """omega^{-1} = adj(omega) / det3(omega) of a component-first Herm3 field, (3, 3) + grid.shape."""
-    pinv = adjugate_entries(omega.reshape((9,) + omega.shape[2:]), range(9))
+def _metric_inverse(omega: np.ndarray, out=None) -> np.ndarray:
+    """omega^{-1} = adj(omega) / det3(omega) of a component-first Herm3 field, (3, 3) + grid.shape,
+    into out when it is given."""
+    pinv = adjugate_entries(omega.reshape((9,) + omega.shape[2:]), range(9),
+                            None if out is None else np.reshape(out, (9,) + omega.shape[2:], copy=False))
     pinv /= det3(grid_first(omega))
     return pinv.reshape(omega.shape)
 
 
-def _connection_band(grid: PeriodicGrid, pinv: np.ndarray, d_omega) -> np.ndarray:
+def _connection_band(grid: PeriodicGrid, pinv: np.ndarray, d_omega, prod=None) -> np.ndarray:
     """Band coefficients of omega^{-1} del_j omega, (c, 3, 3) + grid.band_shape.
 
     pinv is omega^{-1}, component-first, and d_omega(j, s) gives column s of
     del_j omega on the grid, (3,) + grid.shape.  One column is alive at a
-    time: its 3 slabs are multiplied by pinv and band-forwarded, so the
-    product is dealiased and never held whole on the grid.
+    time: its 3 slabs are multiplied by pinv (into prod, when it is given)
+    and band-forwarded, so the product is dealiased and never held whole on
+    the grid.
     """
     c = grid.complex_dims
     ahat = np.empty((c, 3, 3) + grid.band_shape, dtype=complex)
     for j, s in np.ndindex(c, 3):
-        ahat[j, :, s] = band_forward(grid, np.einsum("pq...,q...->p...", pinv, d_omega(j, s)))
+        ahat[j, :, s] = band_forward(grid, np.einsum("pq...,q...->p...", pinv, d_omega(j, s), out=prod))
     return ahat
 
 
@@ -534,7 +560,8 @@ def tr_r_wedge_r(grid: PeriodicGrid, r_field: np.ndarray) -> np.ndarray:
     return grid_first(_wedge_traces(grid, lambda k, j, p, s: r[k, j, p, s], spectral=False))
 
 
-def _band_tr_r_wedge_r(grid: PeriodicGrid, ohat: np.ndarray, base: np.ndarray, gate: bool) -> np.ndarray:
+def _band_tr_r_wedge_r(grid: PeriodicGrid, ohat: np.ndarray, base: np.ndarray, gate: bool,
+                       work=None, inverse=None) -> np.ndarray:
     """Band coefficients of Tr(R ^ R) of the band-limited metric omega_d, streamed.
 
     omega_d = band_inverse(ohat) + base, with ohat the component-first band
@@ -544,16 +571,20 @@ def _band_tr_r_wedge_r(grid: PeriodicGrid, ohat: np.ndarray, base: np.ndarray, g
     multiplier on ohat, and _connection_band takes omega^{-1} del_j omega
     one column at a time; then _wedge_traces band-inverts R one pair of
     slabs at a time (_curvature_slabs), so neither is ever whole on the
-    grid.  The result is component-first, (3, 3) + grid.band_shape.
+    grid.  The result is component-first, (3, 3) + grid.band_shape.  omega_d
+    is built in work and omega^{-1} in inverse, complex (3, 3) + grid.shape
+    arrays, when they are given; the connection's columns then reuse work.
     """
-    omega_d = band_inverse(grid, ohat)
+    omega_d = band_inverse(grid, ohat, out=work)
     omega_d += base
     if gate:
         assert_positive(grid_first(omega_d), "metric field")
-    pinv = _metric_inverse(omega_d)
+    pinv = _metric_inverse(omega_d, inverse)
     del omega_d
     dz, _ = _symbols(grid, band=True)
-    ahat = _connection_band(grid, pinv, lambda j, s: band_inverse(grid, ohat[:, s] * dz[j]))
+    # work is free once omega^{-1} is built: it takes a column of del_j omega and its product
+    col, prod = (None, None) if work is None else (work[0], work[1])
+    ahat = _connection_band(grid, pinv, lambda j, s: band_inverse(grid, ohat[:, s] * dz[j], out=col), prod)
     del pinv
     return _wedge_traces(grid, _curvature_slabs(grid, ahat), spectral=True)
 
@@ -581,17 +612,19 @@ def _d22_blocks(c: int):
     return rows, blocks
 
 
-def _d22(grid: PeriodicGrid, psi_field: np.ndarray) -> np.ndarray:
+def _d22(grid: PeriodicGrid, psi_field: np.ndarray, work=None) -> np.ndarray:
     """Band coefficients of the 5-form d of a Psi22 field, (6,) + grid.band_shape.
     Each row d reads (_d22_blocks) is shifted by its value at grid index 0, so
     that d of a constant is exactly zero, and band transformed; d is applied as
-    i_ddbar_11 is (_band_apply)."""
+    i_ddbar_11 is (_band_apply).  The shifted rows are built in the leading grid
+    fields of work, a complex stack of at least as many, when it is given."""
     c = grid.complex_dims
     rows, blocks = _d22_blocks(c)
     psi = comp_first(psi_field).reshape((9,) + grid.shape)[_row_index(rows)]
     base = psi[(slice(None),) + (slice(1),) * (2 * c)]
+    shifted = np.subtract(psi, base, dtype=complex, out=None if work is None else work[: len(rows)])
     return _band_apply(grid, blocks, [m for dz_dzb in zip(*_symbols(grid, band=True)) for m in dz_dzb],
-                       band_forward(grid, np.subtract(psi, base, dtype=complex)))
+                       band_forward(grid, shifted))
 
 
 def d_residual_22(grid: PeriodicGrid, psi_field: np.ndarray) -> float:

@@ -27,6 +27,8 @@ exterior-algebra tests pin this down.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConditioningError, PositivityError
@@ -68,12 +70,18 @@ def _cofactor(v, e):
     return v[p] * v[q] - v[r] * v[s]
 
 
-def adjugate_entries(v, entries):
+def adjugate_entries(v, entries, out=None):
     """The listed adjugate entries (flat indices 3 i + j) of matrices whose flat entries
-    are v[0], ..., v[8], stacked component-first: (len(entries),) + v.shape[1:]."""
-    out = np.empty((len(entries),) + v.shape[1:], dtype=complex)
+    are v[0], ..., v[8], stacked component-first: (len(entries),) + v.shape[1:],
+    written into out when it is given.  Each is v[p] v[q] - v[r] v[s] (_cofactor),
+    formed in place with one entry-sized temporary."""
+    if out is None:
+        out = np.empty((len(entries),) + v.shape[1:], dtype=complex)
+    tmp = np.empty(v.shape[1:], dtype=complex)
     for i, e in enumerate(entries):
-        out[i] = _cofactor(v, e)
+        p, q, r, s = _COFACTORS[e]
+        np.multiply(v[p], v[q], out=out[i])
+        out[i] -= np.multiply(v[r], v[s], out=tmp)
     return out
 
 
@@ -96,9 +104,13 @@ def inv3(m):
     return adjugate3(m) / det[..., None, None]
 
 
-def hermitize(m):
-    """(m + m^H) / 2 per matrix, in m's memory layout (a component-first m stays so)."""
-    out = np.add(m, np.conj(np.swapaxes(m, -1, -2)), out=np.empty_like(m))
+def hermitize(m, out=None):
+    """(m + m^H) / 2 per matrix, into out (which must not overlap m) or a new array in
+    m's memory layout (a component-first m stays so)."""
+    if out is None:
+        out = np.empty_like(m)
+    np.conjugate(np.swapaxes(m, -1, -2), out=out)
+    np.add(m, out, out=out)
     out *= 0.5
     return out
 
@@ -134,14 +146,33 @@ def herm3_min_eig(m):
     return herm3_eigvals(m)[..., 0]
 
 
+@lru_cache(maxsize=None)
+def _triangle(n: int):
+    """Flat indices (i n + j, j n + i) of the entries i <= j of an n x n matrix."""
+    i, j = np.triu_indices(n)
+    return i * n + j, j * n + i
+
+
 def _hermitian_residuals(m):
-    """max|m - m^H| / max|m| per matrix (0 for a zero matrix)."""
-    diff = m - np.conj(np.swapaxes(m, -1, -2))
+    """max|m - m^H| / max|m| per matrix (0 for a zero matrix).
+
+    Only the upper triangle and the diagonal are compared, gathered through
+    a flat (..., n n) view, so no array of m's size is formed:
+    |m_ji - conj(m_ij)| equals |m_ij - conj(m_ji)| bit for bit, the real
+    parts being negatives of each other and the imaginary parts one sum in
+    either order.
+    """
+    m = np.asarray(m)
+    n = m.shape[-1]
+    upper, lower = _triangle(n)
+    flat = m.reshape(m.shape[:-2] + (n * n,))
+    diff = flat[..., lower]
+    np.subtract(flat[..., upper], np.conjugate(diff, out=diff), out=diff)
     if not diff.any():  # exactly Hermitian, as hermitize leaves it: no scales needed
-        return np.zeros(diff.shape[:-2])
+        return np.zeros(m.shape[:-2])
     # a zero matrix has a zero diff, and the floor leaves every nonzero scale as it is
     scale = np.maximum(np.abs(m).max(axis=(-2, -1)), np.finfo(float).smallest_subnormal)
-    return np.abs(diff).max(axis=(-2, -1)) / scale
+    return np.abs(diff).max(axis=-1) / scale
 
 
 def hermitian_residual(m) -> float:

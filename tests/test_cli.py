@@ -699,7 +699,7 @@ def test_cli_rejects_nonpositive_dt_fixed(tmp_path, capsys):
 
 def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # a fault raised inside the flow is not bad input
-    def broken(prob, omega):
+    def broken(prob, omega, *buffers):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(cli.flowmod, "_torus_rate", broken)  # the rate torus_run steps with

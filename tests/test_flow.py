@@ -52,7 +52,7 @@ def test_complex_hessian_matches_complex_multipliers():
     u = cfgmod.materialize_scalar(G16, {"modes": modes})
     dz, dzb = gr._symbols(G16)
     uhat = gr.forward(G16, u + 0j)
-    h11, h22, re12, im12 = fl._complex_hessian(G16, u)
+    h11, h22, re12, im12 = fl._complex_hessian(G16, fl._FuYauBuffers(G16, hessian=True, u=u))
     np.testing.assert_allclose(h11, gr.inverse(G16, uhat * dz[0] * dzb[0]).real, atol=1e-13)
     np.testing.assert_allclose(h22, gr.inverse(G16, uhat * dz[1] * dzb[1]).real, atol=1e-13)
     h12 = gr.inverse(G16, uhat * dz[0] * dzb[1])
@@ -764,3 +764,158 @@ def test_fu_yau_rk4_order():
 
     ratios = _rk4_error_ratios(run, 0.4, (8, 16, 32, 64), 256)
     assert all(14 <= r <= 20 for r in ratios), ratios
+
+
+# --- held buffers and the exact references they are checked against ---
+
+
+def _step_transient(run, field_bytes):
+    """Peak traced allocation of a run's steps after the first, above the level at step 1's
+    on_step, in grid fields of field_bytes each."""
+    level = {}
+
+    def on_step(step, t, dt, y, row):
+        cur, peak = tracemalloc.get_traced_memory()
+        if step == 1:
+            level["step1"] = cur
+            tracemalloc.reset_peak()
+        else:
+            level["peak"] = peak
+
+    tracemalloc.start()
+    try:
+        hist = run(on_step)
+    finally:
+        tracemalloc.stop()
+    assert hist.halt is None and len(hist.steps) == 5
+    return (level["peak"] - level["step1"]) / field_bytes
+
+
+def _fu_yau_transient():
+    x1, y1, x2, y2 = G16.coords()
+    u0 = (0.05 * np.cos(x1 + y2) + 0.03 * np.sin(y1 - x2)) * np.ones(G16.shape)
+    prob = fl.FuYauProblem(G16, 0.05, 0.2 * np.ones(G16.shape), 0.5 * np.ones(G16.shape))
+    return (lambda on_step: fl.fu_yau_run(prob, 5e-3, fl.DtControl(dt_fixed=1e-3), u0=u0, on_step=on_step),
+            8 * 16**4)
+
+
+def _torus_c1_transient():
+    g = gr.PeriodicGrid(1, 64)
+    prob = fl.TorusProblem(g, 0.0, 1.0, np.zeros(g.shape + (3, 3)), fl.make_balanced_omega0(g, 1.0, seed=5))
+    return lambda on_step: fl.torus_run(prob, 0.01, fl.DtControl(dt_fixed=0.002), on_step=on_step), 16 * 9 * 64**2
+
+
+def _torus_c2_transient():
+    prob = fl.make_stationary_torus_problem(G8C2, 1.0, 0.2, seed=11, amplitude=0.04, kmax=2)
+    return lambda on_step: fl.torus_run(prob, 0.01, fl.DtControl(dt_fixed=0.002), on_step=on_step), 16 * 9 * 8**4
+
+
+@pytest.mark.parametrize("case", [_fu_yau_transient, _torus_c1_transient, _torus_c2_transient],
+                         ids=["fu_yau_c2_n16", "torus_c1_n64", "torus_c2_n8_stationary"])
+def test_a_step_allocates_only_band_sized_arrays(case):
+    # the run holds its states, stage rates and pointwise fields, so a step after the first
+    # allocates only band-sized arrays and transform intermediates: 1.27 scalar fields for
+    # Fu-Yau, 1.35 and 1.35 Psi fields for the torus (13.0, 3.23 and 5.11 when each stage
+    # allocated its own states and fields)
+    run, field_bytes = case()
+    run(None)  # fill the caches of band matrices and multipliers
+    assert _step_transient(run, field_bytes) < 1.5
+
+
+def _c1_exact_psi(prob, t):
+    """The c = 1 flow's exact solution at t from prob.psi0, for Phi_0 inside the block
+    a, b in {1, 2}: each Fourier mode of Psi obeys d/dt Psihat = -sigma Psihat - a' Phi0hat,
+    sigma = Psi_00 |k|^2 / (8 |Omega|^2), with Psi_00 the constant [0, 0] entry of Psi."""
+    psi00 = prob.psi0[..., 0, 0].real
+    assert np.ptp(psi00) < 1e-15
+    k = np.fft.fftfreq(prob.grid.points_per_dim, 1.0 / prob.grid.points_per_dim)
+    sigma = (psi00.mean() * (k[:, None] ** 2 + k[None, :] ** 2) / (8 * prob.abs_omega**2))[..., None, None]
+    decay = np.exp(-sigma * t)
+    psihat = decay * np.fft.fft2(prob.psi0, axes=(0, 1))
+    phi0hat = np.fft.fft2(prob.phi0, axes=(0, 1))
+    safe = np.where(sigma > 0, sigma, 1.0)
+    psihat -= prob.alpha_p * phi0hat * np.where(sigma > 0, (1.0 - decay) / safe, t)
+    return np.fft.ifft2(psihat, axes=(0, 1))
+
+
+def _in_block_phi0(g):
+    """A closed, band-limited Phi_0 inside the block: i del delbar of a random field plus a
+    constant in [1, 1]."""
+    reads, writes = gr._iddbar_support(1)
+    eta = gr.random_bandlimited_herm3(g, np.random.default_rng(3), 2, 0.05)
+    ehat = gr.band_forward(g, gr.comp_first(eta).reshape((9,) + g.shape)[gr._row_index(reads)])
+    phi0 = pw.hermitize(gr.grid_first(gr.band_inverse(g, gr.i_ddbar_11(g, ehat), rows=writes)))
+    phi0[..., 1, 1] += 0.3
+    return phi0
+
+
+@pytest.mark.parametrize("alpha_p, forcing", [(0.0, False), (0.1, True)], ids=["a0", "phi0_in_block"])
+def test_c1_torus_flow_equals_its_exact_per_mode_solution(alpha_p, forcing):
+    # at c = 1 the flow is a linear constant-coefficient heat equation on the block: each mode
+    # decays as exp(-Psi_00 |k|^2 t / (8 |Omega|^2)), Psi_00 = sqrt 2 here, and a Phi_0 inside
+    # the block adds -a' Phi0hat (1 - e^{-sigma t}) / sigma (-a' t Phi0hat at k = 0); RK4 at
+    # dt = 0.002 meets both to 1.05e-13 while Psi moves by 4.1e-2 and 4.5e-2
+    phi0 = _in_block_phi0(G32T) if forcing else np.zeros(G32T.shape + (3, 3))
+    prob = fl.TorusProblem(G32T, alpha_p, 1.0, phi0,
+                           fl.make_balanced_omega0(G32T, 1.0, seed=5, amplitude=0.05))
+    assert prob.psi0[..., 0, 0].real.mean() == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    hist = fl.torus_run(prob, 0.1, fl.DtControl(dt_fixed=0.002))
+    assert hist.halt is None and len(hist.steps) == 50
+    assert np.abs(hist.final_payload - prob.psi0).max() > 1e-2
+    assert np.abs(hist.final_payload - _c1_exact_psi(prob, hist.final_t)).max() < 1e-12
+
+
+def test_c2_stationary_fixture_holds_for_50_steps():
+    # the only tier-1 run where all nine components move under Tr(R ^ R): the exact
+    # stationary point holds at roundoff (rhs_norm 5.5e-17, drift 5.4e-18)
+    prob = fl.make_stationary_torus_problem(G8C2, 1.0, 0.2, seed=5, amplitude=0.04, kmax=2)
+    hist = fl.torus_run(prob, 50 * 0.002, fl.DtControl(dt_fixed=0.002))
+    assert hist.halt is None and len(hist.steps) == 50
+    assert max(hist.monitors["rhs_norm"]) < 1e-14
+    assert np.abs(hist.final_payload - prob.psi0).max() < 1e-15
+
+
+def test_c2_flow_preserves_the_balanced_condition():
+    # the paper's balanced preservation, where d reads rows the flow moves (c = 2, a' = 0.1)
+    prob = fl.TorusProblem(G8C2, 0.1, 1.0, np.zeros(G8C2.shape + (3, 3)),
+                           fl.make_balanced_omega0(G8C2, 1.0, seed=3, amplitude=0.05))
+    hist = fl.torus_run(prob, 20 * 0.002, fl.DtControl(dt_fixed=0.002))
+    assert hist.halt is None and len(hist.steps) == 20
+    assert np.abs(hist.final_payload - prob.psi0).max() > 1e-2
+    assert max(hist.monitors["balanced_residual"]) < 1e-12
+
+
+def _history_bytes(hist):
+    return (hist.steps, hist.times, hist.dts, hist.monitors, hist.final_t, hist.final_payload.tobytes())
+
+
+def test_runs_own_their_buffers():
+    # each run holds its own buffers: a later run, of either flow or size, changes neither a
+    # finished run's payload nor what an identical run computes
+    x1 = G8C2.coords()[0]
+    prob8 = fl.FuYauProblem(G8C2, 0.05, 0.2 * np.ones(G8C2.shape), 0.3 * np.ones(G8C2.shape))
+    first = lambda: fl.fu_yau_run(prob8, 5e-3, fl.DtControl(dt_fixed=1e-3), u0=1e-2 * np.cos(x1) * np.ones(G8C2.shape))
+    hist = first()
+    payload = hist.final_payload.copy()
+    fl.torus_run(_c1_problem(0.0), 5 * 0.002, fl.DtControl(dt_fixed=0.002))
+    fl.fu_yau_run(fl.FuYauProblem(G16, 0.05, zeros(G16), 0.3 * np.ones(G16.shape)), 3e-3,
+                  fl.DtControl(dt_fixed=1e-3))
+    assert np.array_equal(hist.final_payload, payload)
+    assert _history_bytes(first()) == _history_bytes(hist)
+
+
+@pytest.mark.parametrize("run, reason, step", [
+    (lambda on_step: fl.fu_yau_run(fl.FuYauProblem(G16, 0.0, zeros(G16), -3.0 * np.ones(G16.shape)), 1.0,
+                                   on_step=on_step), "instability", 11),
+    (lambda on_step: fl.torus_run(
+        fl.TorusProblem(G32T, 0.0, 1.0, np.zeros(G32T.shape + (3, 3)),
+                        fl.make_balanced_omega0(G32T, 1.0, seed=10, amplitude=0.02)),
+        50.0, fl.DtControl(dt_fixed=1.0), on_step=on_step), "positivity", 4),
+], ids=["fu_yau_instability", "torus_positivity"])
+def test_halt_snapshot_is_a_copy_of_the_pre_step_state(run, reason, step):
+    states = []
+    hist = run(lambda s, t, dt, y, row: states.append(y.copy()))
+    assert hist.halt is not None and (hist.halt.reason, hist.halt.step) == (reason, step)
+    assert len(states) == step
+    assert np.array_equal(hist.halt.snapshot, states[-1])
+    assert not np.shares_memory(hist.halt.snapshot, hist.final_payload)
